@@ -578,11 +578,54 @@ bool logs_equal(const HostingLog& a, const HostingLog& b) {
   return true;
 }
 
+/// The closed loop's re-provision arm of the LP differential: provision
+/// `demand`, then re-provision a per-config rescaled copy (the shape of
+/// AdaptiveController's corrected demand) from that result, so every
+/// scenario LP restarts from its own basis on the dual simplex. Each
+/// scenario's objective must equal a cold provision of the rescaled demand.
+void reprovision_differential(const Materialized& m, const FuzzCase& c,
+                              const DemandMatrix& demand,
+                              std::vector<OracleFailure>& out) {
+  ProvisionOptions po = controller_options(c.options).provision;
+  po.scenario_threads = 1;
+  const SwitchboardProvisioner prov(m.ctx(), po);
+  DemandMatrix next = demand;
+  for (std::size_t col = 0; col < demand.config_count(); ++col) {
+    const double ratio = col % 2 == 0 ? 1.6 : 0.5;
+    for (TimeSlot t = demand.slot_count() / 2; t < demand.slot_count(); ++t) {
+      next.set_demand(t, col, demand.demand(t, col) * ratio);
+    }
+  }
+  try {
+    const ProvisionResult first = prov.provision(demand);
+    const ProvisionResult warm = prov.provision(next, &first);
+    const ProvisionResult cold = prov.provision(next);
+    if (warm.scenarios.size() != cold.scenarios.size()) {
+      fail(out, "lp-differential", "re-provision changed the scenario count");
+      return;
+    }
+    for (std::size_t f = 0; f < cold.scenarios.size(); ++f) {
+      const ScenarioOutcome& w = warm.scenarios[f];
+      const ScenarioOutcome& k = cold.scenarios[f];
+      if (!close(w.lp_objective, k.lp_objective, kLpTol)) {
+        std::ostringstream os;
+        os << k.scenario.name << " objective re-provisioned "
+           << w.lp_objective << " != cold " << k.lp_objective;
+        fail(out, "lp-differential", os.str());
+        return;
+      }
+    }
+  } catch (const SolveError&) {
+    // Same skip as below: an infeasible failure scenario is the world's.
+  }
+}
+
 /// Sparse LU/eta simplex vs the dense-inverse revised simplex on the same
-/// scenario LPs, plus warm-started vs cold scenario solves. Optimal
-/// OBJECTIVES are unique (placements need not be), so that is what is
-/// compared. Only run on small shapes — the dense engine is O(rows^2)
-/// memory. Scenario infeasibility here is a skip, not a failure.
+/// scenario LPs, warm-started vs cold scenario solves, and the closed loop's
+/// re-provision (reprovision_differential). Optimal OBJECTIVES are unique
+/// (placements need not be), so that is what is compared. Only run on small
+/// shapes — the dense engine is O(rows^2) memory. Scenario infeasibility
+/// here is a skip, not a failure.
 void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
                             const DemandMatrix& demand,
                             std::vector<OracleFailure>& out) {
@@ -590,6 +633,8 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
       demand.slot_count() * (m.world.dc_count() + m.topology.link_count() +
                              demand.config_count());
   if (rows_est == 0 || rows_est > 2000) return;
+  reprovision_differential(m, c, demand, out);
+  if (!out.empty()) return;
 
   ProvisionOptions po = controller_options(c.options).provision;
   po.scenario_threads = 1;

@@ -65,13 +65,12 @@ Switchboard::Switchboard(EvalContext ctx, ControllerOptions options)
       ctx_, nullptr, options_.realtime, 0.0, health_.get());
 }
 
-const ProvisionResult& Switchboard::provision(const DemandMatrix& demand,
-                                              const ScenarioBasisHint* f0_warm,
-                                              ScenarioBasisHint* f0_basis_out) {
+const ProvisionResult& Switchboard::provision(
+    const DemandMatrix& demand, const ProvisionResult* warm_from) {
   obs::Span span("ctl.provision", obs::Subsystem::kController);
   obs::ScopedTimer timer(metrics_.provision_s);
   SwitchboardProvisioner provisioner(ctx_, options_.provision);
-  ProvisionResult result = provisioner.provision(demand, f0_warm, f0_basis_out);
+  ProvisionResult result = provisioner.provision(demand, warm_from);
   // Publish under the exclusive lock so a caller overlapping realtime
   // events never mutates state a reader could be observing.
   std::unique_lock lock(swap_mutex_);

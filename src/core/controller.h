@@ -58,12 +58,12 @@ class Switchboard {
   Switchboard(EvalContext ctx, ControllerOptions options);
 
   /// Runs MP capacity provisioning (§5.3); stores and returns the result.
-  /// `f0_warm` / `f0_basis_out` (optional) thread a ScenarioBasisHint
-  /// through the F0 solve so the closed-loop re-provision path warm-starts
-  /// from the previous round (see SwitchboardProvisioner::provision).
+  /// `warm_from` (optional) is a previous result whose per-scenario bases
+  /// warm-start every scenario LP — the closed-loop re-provision path (see
+  /// SwitchboardProvisioner::provision). It may be this controller's own
+  /// provision_result(): it is read before the new result replaces it.
   const ProvisionResult& provision(const DemandMatrix& demand,
-                                   const ScenarioBasisHint* f0_warm = nullptr,
-                                   ScenarioBasisHint* f0_basis_out = nullptr);
+                                   const ProvisionResult* warm_from = nullptr);
 
   /// Builds the daily allocation plan (Eq 10) from the last provision()
   /// capacities, and resets the realtime selector to consume it.

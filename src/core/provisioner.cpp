@@ -246,13 +246,17 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
     }
   }
   if (warm && !warm->empty()) {
-    // NOTE: dual_resolve is deliberately NOT set here. The dual simplex
-    // pays off when a re-solve perturbs bounds or rhs under an unchanged
-    // column set (lp_warm_start_test measures it beating the primal
-    // there), but a failure scenario REMOVES the failed DC's placement
-    // columns: the mapped hint is primal-near-feasible and dual-far, and
-    // routing it to the dual simplex measured ~2.4x the warm primal's
-    // iterations on the provisioner_parallel_test fixture.
+    // Which simplex a hint goes to depends on where it came from:
+    //  - this scenario's own basis from an earlier provision (the closed
+    //    loop's re-provision): only demand and floor right-hand sides moved,
+    //    so the basis stays dual feasible and the dual simplex repairs the
+    //    primal side in a few pivots;
+    //  - the F0 basis carried into a failure scenario: the scenario REMOVES
+    //    the failed DC's or link's placement columns, so the mapped hint is
+    //    primal-near-feasible and dual-far. It stays on the primal, where
+    //    routing it to the dual measured ~2.4x the warm primal's iterations
+    //    on the provisioner_parallel_test fixture.
+    lp_options.dual_resolve = warm->scenario == scenario.name;
     //
     // Translate the semantic hint into this model's column order. Columns
     // the hint doesn't know (or an undersized hint vector) default to
@@ -281,6 +285,7 @@ ScenarioOutcome SwitchboardProvisioner::solve_scenario(
                      " returned " + lp::to_string(solution.status));
   }
   if (basis_out && solution.basis.size() == var_keys.size()) {
+    basis_out->scenario = scenario.name;
     basis_out->cp.assign(world.dc_count(), lp::VarStatus::kAtLower);
     basis_out->np.assign(topo.link_count(), lp::VarStatus::kAtLower);
     basis_out->s.assign(slots * config_count * world.dc_count(),
@@ -461,6 +466,7 @@ ProvisionResult SwitchboardProvisioner::provision_joint(
                          PlacementMatrix(slots, config_count, world.dc_count()),
                          0.0,
                          {},
+                         {},
                          {}};
   CapacityPlan combined = CapacityPlan::zeros(world, topo);
   for (std::size_t x = 0; x < world.dc_count(); ++x) {
@@ -521,8 +527,7 @@ ProvisionResult SwitchboardProvisioner::provision_joint(
 }
 
 ProvisionResult SwitchboardProvisioner::provision(
-    const DemandMatrix& demand, const ScenarioBasisHint* f0_warm,
-    ScenarioBasisHint* f0_basis_out) const {
+    const DemandMatrix& demand, const ProvisionResult* warm_from) const {
   obs::Span span("prov.provision", obs::Subsystem::kProvisioner);
   const World& world = *ctx_.world;
   const Topology& topo = *ctx_.topology;
@@ -543,36 +548,50 @@ ProvisionResult SwitchboardProvisioner::provision(
     scenarios.push_back(FailureScenario::none());
   }
 
+  // A previous round's bases warm-start this round only if they describe
+  // the same scenario list; anything else takes the cold path below.
+  const bool rewarm =
+      warm_from != nullptr && warm_from->bases.size() == scenarios.size() &&
+      std::equal(scenarios.begin(), scenarios.end(),
+                 warm_from->scenarios.begin(), warm_from->scenarios.end(),
+                 [](const FailureScenario& a, const ScenarioOutcome& b) {
+                   return a.name == b.scenario.name;
+                 });
   ProvisionResult result{CapacityPlan::zeros(world, topo),
                          PlacementMatrix(demand.slot_count(),
                                          demand.config_count(),
                                          world.dc_count()),
                          0.0,
                          {},
-                         {}};
+                         {},
+                         std::vector<ScenarioBasisHint>(scenarios.size())};
   CapacityPlan combined = CapacityPlan::zeros(world, topo);
   CapacityPlan serving = combined;
+  // Scenario f's starting basis: its own from the previous round, or else
+  // the F0 basis of this round (failure LPs are the F0 LP minus one DC's or
+  // link's columns, so its optimal basis is usually a few pivots from
+  // theirs). F0 itself starts cold unless rewarmed.
+  auto hint = [&](std::size_t f) -> const ScenarioBasisHint* {
+    if (rewarm && !warm_from->bases[f].empty()) return &warm_from->bases[f];
+    return f == 0 ? nullptr : &result.bases.front();
+  };
 
   // F0 first, always sequentially: it defines `serving`, the base placement,
-  // and the basis hint every failure scenario warm-starts from (failure LPs
-  // are the F0 LP minus one DC's or link's columns, so its optimal basis is
-  // usually a few pivots from theirs).
-  ScenarioBasisHint f0_basis;
+  // and (cold) the basis hint every failure scenario warm-starts from.
   {
     PlacementMatrix placement(demand.slot_count(), demand.config_count(),
                               world.dc_count());
     obs::Span f0_span("prov.scenario", obs::Subsystem::kProvisioner);
     f0_span.attr(obs::AttrKey::kScenario, 0);
-    ScenarioOutcome outcome = solve_scenario(demand, scenarios.front(),
-                                             &placement, nullptr, f0_warm,
-                                             &f0_basis);
+    ScenarioOutcome outcome =
+        solve_scenario(demand, scenarios.front(), &placement, nullptr,
+                       hint(0), &result.bases.front());
     f0_span.finish();
     serving = outcome.required;
     combined = outcome.required;
     result.base_placement = std::move(placement);
     result.scenarios.push_back(std::move(outcome));
   }
-  if (f0_basis_out != nullptr) *f0_basis_out = f0_basis;
 
   const bool chained =
       options_.capacity_reuse &&
@@ -586,7 +605,8 @@ ProvisionResult SwitchboardProvisioner::provision(
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
       ScenarioOutcome outcome =
-          solve_scenario(demand, scenarios[f], nullptr, floors, &f0_basis);
+          solve_scenario(demand, scenarios[f], nullptr, floors,
+                         hint(f), &result.bases[f]);
       s.finish();
       combined = max_capacity(combined, outcome.required);
       result.scenarios.push_back(std::move(outcome));
@@ -595,7 +615,8 @@ ProvisionResult SwitchboardProvisioner::provision(
     // kFromBase (or no reuse at all): every failure scenario floors on the
     // fixed F0 requirement, so the solves commute and can fan out over a
     // thread pool. Results are combined in enumeration order, making the
-    // plan bit-identical whatever the thread count.
+    // plan bit-identical whatever the thread count. Each solve writes only
+    // its own bases[f].
     const CapacityPlan* floors = options_.capacity_reuse ? &serving : nullptr;
     // Fan-out spans run on pool threads where no span is open; parent them
     // explicitly under this provision() span so the trace stays nested.
@@ -604,7 +625,8 @@ ProvisionResult SwitchboardProvisioner::provision(
       obs::Span s("prov.scenario", obs::Subsystem::kProvisioner,
                   obs::kNoSimTime, fan_parent);
       s.attr(obs::AttrKey::kScenario, static_cast<std::int64_t>(f));
-      return solve_scenario(demand, scenarios[f], nullptr, floors, &f0_basis);
+      return solve_scenario(demand, scenarios[f], nullptr, floors,
+                            hint(f), &result.bases[f]);
     };
     std::vector<ScenarioOutcome> outcomes;
     outcomes.reserve(scenarios.size() - 1);

@@ -11,6 +11,9 @@
 //    demand matrix, not resource usage logs (§4.4).
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "calls/demand.h"
 #include "core/capacity_plan.h"
 #include "core/failure.h"
@@ -71,9 +74,10 @@ struct ProvisionOptions {
   /// (unless one was set explicitly) — the fan-out pool is idle while F0
   /// runs, so the block decomposition can use the same budget.
   std::size_t scenario_threads = 1;
-  /// Base LP engine knobs. Warm scenario re-solves additionally set
-  /// dual_resolve: they start primal infeasible but nearly dual feasible,
-  /// the dual simplex's preferred start.
+  /// Base LP engine knobs. Re-provisions warm-started from the same
+  /// scenario's previous basis additionally set dual_resolve: only the
+  /// demand and floor right-hand sides moved, so the old basis starts primal
+  /// infeasible but dual feasible, the dual simplex's preferred start.
   lp::SolveOptions lp_options;
 };
 
@@ -81,8 +85,13 @@ struct ProvisionOptions {
 /// DC, NP per link, S per (slot, config, DC) — rather than LP column index,
 /// so a structurally different scenario (a failed DC drops its CP column
 /// and candidate placements) can still warm-start from it. Produced and
-/// consumed by SwitchboardProvisioner::solve_scenario.
+/// consumed by SwitchboardProvisioner::solve_scenario; provision() keeps one
+/// per scenario in ProvisionResult::bases.
 struct ScenarioBasisHint {
+  /// Name of the scenario whose solve produced the hint. Re-solving that
+  /// same scenario changes only right-hand sides (demand, floors), so
+  /// solve_scenario routes such a hint through the dual simplex.
+  std::string scenario;
   std::vector<lp::VarStatus> cp;  ///< per DC id
   std::vector<lp::VarStatus> np;  ///< per link id
   std::vector<lp::VarStatus> s;   ///< (t * configs + c) * dc_count + dc id
@@ -121,6 +130,10 @@ struct ProvisionResult {
   /// packer enforces physical capacity itself; these budgets are the
   /// offline sizing signal (benches and capacity reports consume them).
   std::vector<double> server_budget_cores;
+  /// Final basis of every scenario LP, parallel to `scenarios`: the warm
+  /// start a later provision(demand, this) re-solves each scenario from.
+  /// Empty on the joint_scenarios path (one fused LP, no per-scenario basis).
+  std::vector<ScenarioBasisHint> bases;
 };
 
 /// Builds and solves the provisioning LPs. The EvalContext members must
@@ -130,22 +143,26 @@ class SwitchboardProvisioner {
   SwitchboardProvisioner(EvalContext ctx, ProvisionOptions options);
 
   /// Provisions capacity for the given demand. Throws SolveError if any
-  /// scenario LP fails. `f0_warm` (optional) seeds the F0 solve from a
-  /// previous provision's final basis — the closed-loop re-provision path,
-  /// where successive demand matrices differ only in magnitude, re-solves in
-  /// ~0 iterations from it. `f0_basis_out` (optional) receives this
-  /// provision's F0 basis for the next warm round. Both are ignored by the
-  /// joint_scenarios path (one fused LP, no per-scenario basis).
+  /// scenario LP fails. Without `warm_from`, F0 solves cold and every
+  /// failure scenario warm-starts from the F0 basis on the primal simplex.
+  /// `warm_from` (optional) is a previous provision of the same world — the
+  /// closed-loop re-provision path, where successive demand matrices differ
+  /// only in magnitude: when its `bases` match this scenario set (same count
+  /// and names), scenario f re-solves from warm_from->bases[f] on the dual
+  /// simplex, since only right-hand sides moved. Otherwise it is ignored.
+  /// The joint_scenarios path ignores it too (no per-scenario basis).
   [[nodiscard]] ProvisionResult provision(
-      const DemandMatrix& demand, const ScenarioBasisHint* f0_warm = nullptr,
-      ScenarioBasisHint* f0_basis_out = nullptr) const;
+      const DemandMatrix& demand,
+      const ProvisionResult* warm_from = nullptr) const;
 
   /// Solves a single scenario's LP; exposed for tests and the Fig 4 bench.
   /// With `floors` set, capacity up to the floor is free and the LP prices
   /// only the increment; the returned requirement then includes the floor.
   /// `warm` (if non-empty) seeds the sparse engine's starting basis from a
   /// previous structurally-similar solve; `basis_out` (if non-null)
-  /// receives this solve's final basis keyed semantically for reuse.
+  /// receives this solve's final basis keyed semantically for reuse. A
+  /// `warm` hint produced by this same scenario goes to the dual simplex,
+  /// any other to the primal.
   [[nodiscard]] ScenarioOutcome solve_scenario(
       const DemandMatrix& demand, const FailureScenario& scenario,
       PlacementMatrix* placement_out = nullptr,

@@ -235,9 +235,9 @@ void AdaptiveController::tick(SimTime now) {
 
   DemandMatrix corrected = corrected_demand(slot);
   try {
-    sb_->provision(corrected, have_warm_ ? &warm_basis_ : nullptr,
-                   &warm_basis_);
-    have_warm_ = true;
+    // Every scenario re-solves from its own basis in the installed plan's
+    // provision: only the demand moved since.
+    sb_->provision(corrected, &*sb_->provision_result());
     sb_->install_plan(corrected, plan_start_s_, now);
   } catch (const SolveError&) {
     // A corrected demand the scenario LPs cannot serve (capacity ceiling):

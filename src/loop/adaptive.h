@@ -5,9 +5,11 @@
 // from. Re-provisioning is ERROR-TRIGGERED: only when the aggregate
 // relative deviation leaves the configured band does the loop build a
 // corrected demand matrix (forecast rescaled toward the observation,
-// floored at what is live right now), re-run capacity provisioning with a
-// warm-started F0 LP, and install the new plan into the live selector
-// through Switchboard::install_plan — calls never move, their slot
+// floored at what is live right now), re-run capacity provisioning with
+// every scenario LP warm-started on the dual simplex from its own basis in
+// the installed plan's provision (the first replan included: it starts from
+// the open-loop plan's bases), and install the new plan into the live
+// selector through Switchboard::install_plan — calls never move, their slot
 // accounting re-binds. When observation matches forecast, the loop is
 // silent: zero triggers, zero replans (the property tests pin this).
 //
@@ -141,9 +143,6 @@ class AdaptiveController : public CallAllocator {
 
   mutable std::mutex tick_mutex_;
   std::atomic<double> next_due_;
-  /// Warm-start basis chained across replans (guarded by tick_mutex_).
-  ScenarioBasisHint warm_basis_;
-  bool have_warm_ = false;
 
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> triggers_{0};

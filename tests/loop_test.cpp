@@ -212,6 +212,37 @@ TEST(AdaptiveLoop, CorrectsUnderForecastAndConverges) {
   EXPECT_EQ(rs.slot_debits, rs.slot_credits);
 }
 
+// Every replan, the first included, re-solves each scenario LP from its own
+// basis in the installed plan's provision: no provisioning LP solves cold.
+// The one cold solve per replan is install_plan's allocation LP (Eq 10),
+// which keeps no basis between plans. 300 s slots keep every scenario LP
+// above lp::kAutoSparseRowCutoff; below it kAuto takes the dense tableau,
+// which never warm-starts.
+TEST(AdaptiveLoop, ReplansReprovisionWarmFromTheInstalledPlan) {
+#ifndef SB_METRICS_ENABLED
+  GTEST_SKIP() << "reads sb.lp counters; built with SB_METRICS=OFF";
+#endif
+  FuzzCase c = steady_case();
+  c.options.slot_s = 300.0;
+  LoopHarness h(c, 0.3);
+  const std::size_t scenario_count =
+      h.sb->provision_result()->scenarios.size();
+  auto& reg = obs::MetricsRegistry::global();
+  obs::Counter& solves = reg.counter("sb.lp.solves");
+  obs::Counter& warm_starts = reg.counter("sb.lp.warm_starts");
+  const std::uint64_t solves_before = solves.value();
+  const std::uint64_t warm_before = warm_starts.value();
+  h.run(c);
+
+  const loop::LoopStats s = h.loop->stats();
+  ASSERT_GE(s.replans, 1u) << "needs at least one re-provision";
+  EXPECT_EQ(s.solve_errors, 0u);
+  const std::uint64_t warm = warm_starts.value() - warm_before;
+  EXPECT_GE(warm, s.replans * scenario_count);
+  EXPECT_EQ(solves.value() - solves_before - warm, s.replans)
+      << "only the allocation LPs may solve cold";
+}
+
 TEST(AdaptiveLoop, MidRunInstallCannotDoubleCountBuckets) {
   const FuzzCase c = steady_case();
   auto& reg = obs::MetricsRegistry::global();

@@ -2,8 +2,13 @@
 // the failure-scenario LPs are order-independent, so a multi-threaded
 // provision() must produce a CapacityPlan BIT-IDENTICAL to the sequential
 // run — same per-DC cores, same per-link gbps, same scenario order — and
-// the warm-started scenario solves must not change the plan either.
+// the warm-started scenario solves must not change the plan either. The
+// closed loop's re-provision from a previous result's per-scenario bases
+// must reach the same optima as a cold provision.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "core/provisioner.h"
 #include "geo/world_presets.h"
@@ -83,6 +88,25 @@ void expect_identical_plans(const ProvisionResult& a,
   }
   for (std::size_t l = 0; l < a.capacity.link_gbps.size(); ++l) {
     EXPECT_EQ(a.capacity.link_gbps[l], b.capacity.link_gbps[l]);
+  }
+}
+
+/// The combined capacity must dominate every scenario's requirement.
+void expect_covers_every_scenario(const Fixture& fix,
+                                  const ProvisionResult& result) {
+  for (const ScenarioOutcome& outcome : result.scenarios) {
+    for (std::size_t x = 0; x < fix.geo.world.dc_count(); ++x) {
+      EXPECT_LE(outcome.required.dc_serving_cores[x],
+                result.capacity.dc_total_cores(
+                    DcId(static_cast<std::uint32_t>(x))) +
+                    1e-5)
+          << outcome.scenario.name;
+    }
+    for (std::size_t l = 0; l < fix.geo.topology.link_count(); ++l) {
+      EXPECT_LE(outcome.required.link_gbps[l],
+                result.capacity.link_gbps[l] + 1e-7)
+          << outcome.scenario.name;
+    }
   }
 }
 
@@ -177,20 +201,114 @@ TEST(ParallelProvisionTest, ChainedModeStillCoversEveryScenario) {
   SwitchboardProvisioner provisioner(fix.ctx(), options);
   const ProvisionResult result = provisioner.provision(fix.demand);
   ASSERT_FALSE(result.scenarios.empty());
-  for (const ScenarioOutcome& outcome : result.scenarios) {
-    for (std::size_t x = 0; x < fix.geo.world.dc_count(); ++x) {
-      EXPECT_LE(outcome.required.dc_serving_cores[x],
-                result.capacity.dc_total_cores(
-                    DcId(static_cast<std::uint32_t>(x))) +
-                    1e-5)
-          << outcome.scenario.name;
-    }
-    for (std::size_t l = 0; l < fix.geo.topology.link_count(); ++l) {
-      EXPECT_LE(outcome.required.link_gbps[l],
-                result.capacity.link_gbps[l] + 1e-7)
-          << outcome.scenario.name;
+  expect_covers_every_scenario(fix, result);
+}
+
+/// Demand rescaled per config column from `from_slot` on, the way the
+/// closed loop's corrected demand is: some columns grow, some shrink.
+DemandMatrix rescaled(const DemandMatrix& d, TimeSlot from_slot) {
+  DemandMatrix out = d;
+  for (std::size_t c = 0; c < d.config_count(); ++c) {
+    const double ratio = c % 2 == 0 ? 1.6 : 0.5;
+    for (TimeSlot t = from_slot; t < d.slot_count(); ++t) {
+      out.set_demand(t, c, d.demand(t, c) * ratio);
     }
   }
+  return out;
+}
+
+void expect_same_objectives(const ProvisionResult& warm,
+                            const ProvisionResult& cold) {
+  ASSERT_EQ(warm.scenarios.size(), cold.scenarios.size());
+  for (std::size_t f = 0; f < warm.scenarios.size(); ++f) {
+    EXPECT_EQ(warm.scenarios[f].scenario.name, cold.scenarios[f].scenario.name);
+    EXPECT_NEAR(warm.scenarios[f].lp_objective,
+                cold.scenarios[f].lp_objective,
+                1e-7 * std::max(1.0, std::abs(cold.scenarios[f].lp_objective)))
+        << cold.scenarios[f].scenario.name;
+  }
+}
+
+std::size_t total_iterations(const ProvisionResult& r) {
+  std::size_t total = 0;
+  for (const ScenarioOutcome& outcome : r.scenarios) {
+    total += outcome.lp_iterations;
+  }
+  return total;
+}
+
+// The closed loop's re-provision: every scenario restarts from its own
+// basis in the previous result (an rhs-only change, solved by the dual
+// simplex). It must land on the same per-scenario optima as a cold
+// provision of the new demand, keep every scenario covered, and need fewer
+// simplex iterations than the F0-hint path.
+TEST(ParallelProvisionTest, RewarmFromPreviousResultMatchesColdProvision) {
+  const Fixture fix(4242);
+  SwitchboardProvisioner prov(fix.ctx(), ProvisionOptions{});
+  const ProvisionResult first = prov.provision(fix.demand);
+  ASSERT_EQ(first.bases.size(), first.scenarios.size());
+  for (const ScenarioBasisHint& basis : first.bases) {
+    EXPECT_FALSE(basis.empty());
+  }
+
+  const DemandMatrix next = rescaled(fix.demand, 2);
+  const ProvisionResult warm = prov.provision(next, &first);
+  const ProvisionResult cold = prov.provision(next);
+  expect_same_objectives(warm, cold);
+  ASSERT_EQ(warm.bases.size(), warm.scenarios.size());
+
+  expect_covers_every_scenario(fix, warm);
+  EXPECT_LT(total_iterations(warm), total_iterations(cold));
+
+  // A second round chains from the first re-provision's bases.
+  const DemandMatrix back = rescaled(next, 5);
+  expect_same_objectives(prov.provision(back, &warm), prov.provision(back));
+}
+
+// kFromBase fans the re-provision out over threads; each scenario still
+// starts from its own basis, so the plan stays bit-identical to sequential.
+TEST(ParallelProvisionTest, RewarmFromBaseMatchesAcrossThreads) {
+  const Fixture fix(999);
+  ProvisionOptions options;
+  options.floor_mode = ProvisionOptions::FloorMode::kFromBase;
+  options.scenario_threads = 1;
+  SwitchboardProvisioner sequential(fix.ctx(), options);
+  options.scenario_threads = 4;
+  SwitchboardProvisioner parallel(fix.ctx(), options);
+
+  const ProvisionResult first = sequential.provision(fix.demand);
+  const DemandMatrix next = rescaled(fix.demand, 3);
+  const ProvisionResult seq = sequential.provision(next, &first);
+  const ProvisionResult par = parallel.provision(next, &first);
+  expect_identical_plans(seq, par);
+  expect_same_objectives(seq, sequential.provision(next));
+}
+
+// Bases from a different scenario set (link failures toggled) cannot be
+// matched per scenario: provision() must ignore them and run the cold path
+// unchanged.
+TEST(ParallelProvisionTest, RewarmFromMismatchedScenarioSetFallsBackToCold) {
+  const Fixture fix(31337);
+  ProvisionOptions with_links;
+  ProvisionOptions dc_only;
+  dc_only.include_link_failures = false;
+  const SwitchboardProvisioner a(fix.ctx(), with_links);
+  const SwitchboardProvisioner b(fix.ctx(), dc_only);
+  const DemandMatrix next = rescaled(fix.demand, 2);
+
+  const ProvisionResult a_first = a.provision(fix.demand);
+  const ProvisionResult b_warm = b.provision(next, &a_first);
+  const ProvisionResult b_cold = b.provision(next);
+  expect_same_objectives(b_warm, b_cold);
+  expect_identical_plans(b_warm, b_cold);
+  EXPECT_EQ(total_iterations(b_warm), total_iterations(b_cold));
+
+  const ProvisionResult b_first = b.provision(fix.demand);
+  const ProvisionResult a_warm = a.provision(next, &b_first);
+  const ProvisionResult a_cold = a.provision(next);
+  expect_same_objectives(a_warm, a_cold);
+  expect_identical_plans(a_warm, a_cold);
+  EXPECT_EQ(total_iterations(a_warm), total_iterations(a_cold));
 }
 
 }  // namespace
