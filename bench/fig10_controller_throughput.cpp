@@ -2,12 +2,16 @@
 // writer threads. Each call-signaling event (call start, participant join,
 // config freeze, call end) updates controller state and writes it to the
 // KV store (the paper's Redis), whose simulated per-op latency is the
-// 0.3-4.2 ms range reported in §6.6. Threads overlap those waits, so
-// throughput scales with the thread count; the paper sustains 1.4x the
-// trace's peak load with 10 threads.
+// 0.3-4.2 ms range reported in §6.6. Start, freeze and end persist the
+// call's row as a cluster WAL record (cluster/wal.h, the same format
+// sb_cluster replays after a worker crash); joins bump a leg counter.
+// Threads overlap those waits, so throughput scales with the thread count;
+// the paper sustains 1.4x the trace's peak load with 10 threads.
 //
 // Per-event-type latency percentiles come from the sb::obs registry (the
-// controller times every event into sb.realtime.* histograms); each
+// controller times every event into sb.realtime.* histograms, which cover
+// the controller's own work; the KV round trip is reported separately from
+// sb.kvstore.op_latency_s); each
 // thread-count run is isolated with a snapshot diff. Build with
 // -DSB_METRICS=OFF to measure the metrics layer's own overhead on this
 // bench (EXPERIMENTS.md records the comparison).
@@ -36,7 +40,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "cluster/wal.h"
 #include "core/controller.h"
+#include "kvstore/kvstore.h"
 #include "obs/snapshot.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
@@ -50,6 +56,20 @@ struct CallWork {
   const CallConfig* config;
 };
 
+/// Writes the call's current controller row as its WAL record, or erases the
+/// record once the call is gone — exactly one KV op.
+void write_wal(const Switchboard& controller, KvStore& store, CallId call) {
+  const std::string key = cluster::wal_key(
+      RealtimeSelector::shard_of(call, controller.realtime_shard_count()),
+      call);
+  const auto snap = controller.snapshot_call(call);
+  if (snap.has_value()) {
+    store.set(key, cluster::encode_wal_record(*snap));
+  } else {
+    store.erase(key);
+  }
+}
+
 /// Replays one call's full event sequence against the controller + store.
 /// Returns the number of store-backed events processed. `telemetry`
 /// (optional) is offered the record's start time as the sim clock, so the
@@ -61,6 +81,7 @@ std::size_t replay_call(Switchboard& controller, KvStore& store,
   const CallRecord& r = *work.record;
   std::size_t events = 0;
   controller.call_started(r.id, r.legs.front().location, r.start_s);
+  write_wal(controller, store, r.id);
   ++events;
   const std::string legs_key = "call:" + std::to_string(r.id.value()) + ":legs";
   for (std::size_t leg = 1; leg < r.legs.size(); ++leg) {
@@ -72,9 +93,11 @@ std::size_t replay_call(Switchboard& controller, KvStore& store,
   if (r.duration_s > controller.freeze_delay_s()) {
     controller.config_frozen(r.id, *work.config,
                              r.start_s + controller.freeze_delay_s());
+    write_wal(controller, store, r.id);
     ++events;
   }
   controller.call_ended(r.id, r.start_s + r.duration_s);
+  write_wal(controller, store, r.id);
   ++events;
   return events;
 }
@@ -158,11 +181,13 @@ int run(int argc, char** argv) {
                "observed Redis range)\n\n";
 
   // Latency columns are p50/p99 of the controller's per-event histograms
-  // (sb.realtime.{start,freeze,end}_latency_s), in ms, isolated per run by
+  // (sb.realtime.{start,freeze,end}_latency_s) and of the KV store's per-op
+  // histogram (sb.kvstore.op_latency_s), in ms, isolated per run by
   // diffing registry snapshots. events/s is likewise counted by the
   // registry: every replayed event performs exactly one KV op.
   TextTable table({"threads", "events/s", "speedup", "x trace peak",
-                   "start p50/p99 ms", "freeze p50/p99 ms", "end p50/p99 ms"});
+                   "start p50/p99 ms", "freeze p50/p99 ms", "end p50/p99 ms",
+                   "kv op p50/p99 ms"});
   const auto latency_cell = [](const obs::MetricsSnapshot& delta,
                                const char* name) {
     const obs::HistogramSample* h = delta.find_histogram(name);
@@ -175,7 +200,6 @@ int run(int argc, char** argv) {
     KvStore store;
     ControllerOptions options;
     Switchboard controller(ctx, options);
-    controller.attach_store(&store);
 
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::global().snapshot();
@@ -212,7 +236,8 @@ int run(int argc, char** argv) {
         .cell(rate / peak_rate, 1)
         .cell(latency_cell(delta, "sb.realtime.start_latency_s"))
         .cell(latency_cell(delta, "sb.realtime.freeze_latency_s"))
-        .cell(latency_cell(delta, "sb.realtime.end_latency_s"));
+        .cell(latency_cell(delta, "sb.realtime.end_latency_s"))
+        .cell(latency_cell(delta, "sb.kvstore.op_latency_s"));
     const std::string suffix = ".t" + std::to_string(threads);
     bench::emit_json("fig10_controller_throughput", "events_per_s" + suffix,
                      rate);

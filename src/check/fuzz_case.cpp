@@ -162,7 +162,7 @@ Json options_to_json(const FuzzOptions& o) {
   j["include_link_failures"] = o.include_link_failures;
   j["floor_mode"] = o.floor_mode;
   j["scenario_threads"] = o.scenario_threads;
-  j["lp_method"] = o.lp_method;
+  j["lp_method"] = static_cast<int>(o.lp_method);
   j["rebuild_storm"] = o.rebuild_storm;
   j["chaos_skip_drain_credit"] = o.chaos_skip_drain_credit;
   j["chaos_skip_server_credit"] = o.chaos_skip_server_credit;
@@ -178,6 +178,23 @@ Json options_to_json(const FuzzOptions& o) {
   return Json(std::move(j));
 }
 
+/// Maps a repro's raw lp_method back onto the pinned lp::Method values.
+/// Unknown or deleted values are refused rather than cast, so a repro can
+/// never silently run on a different engine than the one it recorded.
+lp::Method lp_method_from_json(std::int64_t v) {
+  switch (v) {
+    case static_cast<std::int64_t>(lp::Method::kAuto):
+    case static_cast<std::int64_t>(lp::Method::kDense):
+    case static_cast<std::int64_t>(lp::Method::kSparse):
+    case static_cast<std::int64_t>(lp::Method::kDual):
+      return static_cast<lp::Method>(v);
+    default:
+      throw InvalidArgument("FuzzCase: lp_method " + std::to_string(v) +
+                            " names no lp::Method (2 was the deleted "
+                            "dense-inverse engine)");
+  }
+}
+
 FuzzOptions options_from_json(const Json& j) {
   FuzzOptions o;
   o.freeze_delay_s = j.get("freeze_delay_s").as_number();
@@ -191,7 +208,7 @@ FuzzOptions options_from_json(const Json& j) {
   o.floor_mode = static_cast<int>(j.get("floor_mode").as_i64());
   o.scenario_threads =
       static_cast<std::size_t>(j.get("scenario_threads").as_u64());
-  o.lp_method = static_cast<int>(j.get("lp_method").as_i64());
+  o.lp_method = lp_method_from_json(j.get("lp_method").as_i64());
   o.rebuild_storm = j.get_or("rebuild_storm", false);
   o.chaos_skip_drain_credit = j.get_or("chaos_skip_drain_credit", false);
   o.chaos_skip_server_credit = j.get_or("chaos_skip_server_credit", false);

@@ -18,6 +18,7 @@
 #include "geo/latency.h"
 #include "geo/topology.h"
 #include "geo/world.h"
+#include "lp/solver.h"
 
 namespace sb::check {
 
@@ -63,7 +64,9 @@ struct FuzzOptions {
   bool include_link_failures = true;
   int floor_mode = 0;            ///< ProvisionOptions::FloorMode value
   std::size_t scenario_threads = 1;
-  int lp_method = 0;             ///< lp::Method value
+  /// Serialized as its pinned integer value; parsing rejects values that
+  /// name no engine (including the deleted 2) with InvalidArgument.
+  lp::Method lp_method = lp::Method::kAuto;
   bool rebuild_storm = false;    ///< post-sim plan-rebuild churn phase
   bool chaos_skip_drain_credit = false;  ///< mutation knob (oracle self-test)
   /// Mutation knob: drain/re-home moves skip the packer release on the old

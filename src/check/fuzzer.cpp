@@ -112,8 +112,7 @@ FuzzCase ScenarioFuzzer::generate(std::uint64_t seed) const {
   o.include_link_failures = rng.chance(0.5);
   o.floor_mode = rng.chance(0.5) ? 1 : 0;
   o.scenario_threads = rng.chance(0.5) ? 2 : 1;
-  o.lp_method = rng.chance(0.8) ? static_cast<int>(lp::Method::kAuto)
-                                : static_cast<int>(lp::Method::kSparse);
+  o.lp_method = rng.chance(0.8) ? lp::Method::kAuto : lp::Method::kSparse;
   o.rebuild_storm = rng.chance(params_.rebuild_storm_prob);
   o.chaos_skip_drain_credit = params_.chaos_skip_drain_credit;
   o.chaos_skip_server_credit = params_.chaos_skip_server_credit;

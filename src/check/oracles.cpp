@@ -80,8 +80,8 @@ ControllerOptions controller_options(const FuzzOptions& o) {
                                    ? ProvisionOptions::FloorMode::kFromBase
                                    : ProvisionOptions::FloorMode::kChained;
   copts.provision.scenario_threads = o.scenario_threads;
-  copts.provision.lp_options.method = static_cast<lp::Method>(o.lp_method);
-  copts.allocation.lp_options.method = static_cast<lp::Method>(o.lp_method);
+  copts.provision.lp_options.method = o.lp_method;
+  copts.allocation.lp_options.method = o.lp_method;
   copts.realtime.freeze_delay_s = o.freeze_delay_s;
   copts.realtime.shard_count = o.shard_count;
   copts.realtime.chaos_skip_drain_credit = o.chaos_skip_drain_credit;
@@ -620,19 +620,19 @@ void reprovision_differential(const Materialized& m, const FuzzCase& c,
   }
 }
 
-/// Sparse LU/eta simplex vs the dense-inverse revised simplex on the same
-/// scenario LPs, warm-started vs cold scenario solves, and the closed loop's
+/// Sparse LU/eta simplex vs the reference dense tableau on the same scenario
+/// LPs, warm-started vs cold scenario solves, and the closed loop's
 /// re-provision (reprovision_differential). Optimal OBJECTIVES are unique
 /// (placements need not be), so that is what is compared. Only run on small
-/// shapes — the dense engine is O(rows^2) memory. Scenario infeasibility
-/// here is a skip, not a failure.
+/// shapes — the tableau is O(rows^2) memory and capped at lp::kDenseRowLimit
+/// rows. Scenario infeasibility here is a skip, not a failure.
 void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
                             const DemandMatrix& demand,
                             std::vector<OracleFailure>& out) {
   const std::size_t rows_est =
       demand.slot_count() * (m.world.dc_count() + m.topology.link_count() +
                              demand.config_count());
-  if (rows_est == 0 || rows_est > 2000) return;
+  if (rows_est == 0 || rows_est > lp::kDenseRowLimit) return;
   reprovision_differential(m, c, demand, out);
   if (!out.empty()) return;
 
@@ -640,19 +640,19 @@ void lp_differential_oracle(const Materialized& m, const FuzzCase& c,
   po.scenario_threads = 1;
   po.lp_options.method = lp::Method::kSparse;
   const SwitchboardProvisioner sparse(m.ctx(), po);
-  po.lp_options.method = lp::Method::kRevised;
-  const SwitchboardProvisioner revised(m.ctx(), po);
+  po.lp_options.method = lp::Method::kDense;
+  const SwitchboardProvisioner dense(m.ctx(), po);
 
   try {
     ScenarioBasisHint basis;
     const ScenarioOutcome f0_sparse = sparse.solve_scenario(
         demand, FailureScenario::none(), nullptr, nullptr, nullptr, &basis);
-    const ScenarioOutcome f0_revised =
-        revised.solve_scenario(demand, FailureScenario::none());
-    if (!close(f0_sparse.lp_objective, f0_revised.lp_objective, kLpTol)) {
+    const ScenarioOutcome f0_dense =
+        dense.solve_scenario(demand, FailureScenario::none());
+    if (!close(f0_sparse.lp_objective, f0_dense.lp_objective, kLpTol)) {
       std::ostringstream os;
-      os << "F0 objective sparse " << f0_sparse.lp_objective << " != revised "
-         << f0_revised.lp_objective;
+      os << "F0 objective sparse " << f0_sparse.lp_objective << " != dense "
+         << f0_dense.lp_objective;
       fail(out, "lp-differential", os.str());
       return;
     }

@@ -20,7 +20,7 @@
 //   - seq-vs-concurrent: run_concurrent agrees on counts (and, without plan
 //     quotas, on the bucket series); its own hosting log passes the
 //     exactly-once/recount/conservation oracles;
-//   - lp-differential: sparse vs dense-inverse provisioning, warm vs cold
+//   - lp-differential: sparse vs dense-tableau provisioning, warm vs cold
 //     scenario solves, and a re-provision warm-started from the previous
 //     result vs a cold one agree on objectives (small shapes only);
 //   - rebuild-storm: concurrent plan rebuilds + fault edges + signaling

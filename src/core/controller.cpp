@@ -128,9 +128,7 @@ const AllocationPlan& Switchboard::install_plan(const DemandMatrix& demand,
 }
 
 // Event methods hold swap_mutex_ shared for the selector call only (readers
-// don't contend; the selector stripes its own locks per call shard) and
-// persist to the KV store after releasing it, so ~ms store round trips
-// overlap freely across threads.
+// don't contend; the selector stripes its own locks per call shard).
 DcId Switchboard::call_started(CallId call, LocationId first_joiner,
                                SimTime now) {
   obs::Span span("ctl.call_started", obs::Subsystem::kController, now);
@@ -141,10 +139,6 @@ DcId Switchboard::call_started(CallId call, LocationId first_joiner,
   {
     std::shared_lock lock(swap_mutex_);
     dc = selector_->on_call_start(call, first_joiner, now);
-  }
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(dc.value()));
   }
   metrics_.calls_started.inc();
   return dc;
@@ -161,10 +155,6 @@ FreezeResult Switchboard::config_frozen(CallId call, const CallConfig& config,
     std::shared_lock lock(swap_mutex_);
     result = selector_->on_config_frozen(call, config, now, id_hint);
   }
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(result.dc.value()));
-  }
   metrics_.configs_frozen.inc();
   if (result.migrated) metrics_.migrations.inc();
   if (!result.planned) metrics_.unplanned.inc();
@@ -180,9 +170,6 @@ void Switchboard::call_ended(CallId call, SimTime now) {
     std::shared_lock lock(swap_mutex_);
     selector_->on_call_end(call, now);
   }
-  if (store_) {
-    store_->erase("call:" + std::to_string(call.value()) + ":dc");
-  }
   metrics_.calls_ended.inc();
 }
 
@@ -193,10 +180,6 @@ void Switchboard::call_ended(CallId call, SimTime now) {
 DcId Switchboard::call_started_locked(CallId call, LocationId first_joiner,
                                       SimTime now) {
   const DcId dc = selector_->on_call_start(call, first_joiner, now);
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(dc.value()));
-  }
   metrics_.calls_started.inc();
   return dc;
 }
@@ -206,10 +189,6 @@ FreezeResult Switchboard::config_frozen_locked(CallId call,
                                                SimTime now, ConfigId id_hint) {
   const FreezeResult result =
       selector_->on_config_frozen(call, config, now, id_hint);
-  if (store_) {
-    store_->set("call:" + std::to_string(call.value()) + ":dc",
-                std::to_string(result.dc.value()));
-  }
   metrics_.configs_frozen.inc();
   if (result.migrated) metrics_.migrations.inc();
   if (!result.planned) metrics_.unplanned.inc();
@@ -218,9 +197,6 @@ FreezeResult Switchboard::config_frozen_locked(CallId call,
 
 void Switchboard::call_ended_locked(CallId call, SimTime now) {
   selector_->on_call_end(call, now);
-  if (store_) {
-    store_->erase("call:" + std::to_string(call.value()) + ":dc");
-  }
   metrics_.calls_ended.inc();
 }
 
@@ -256,15 +232,6 @@ fault::FailoverOutcome Switchboard::dc_failed(DcId dc, SimTime now) {
     }
     outcome =
         selector_->drain_dc(dc, now, budget, options_.failover.drain_batch);
-  }
-  if (store_) {
-    for (const fault::FailoverMove& m : outcome.moved) {
-      store_->set("call:" + std::to_string(m.call.value()) + ":dc",
-                  std::to_string(m.to.value()));
-    }
-    for (CallId c : outcome.dropped) {
-      store_->erase("call:" + std::to_string(c.value()) + ":dc");
-    }
   }
   metrics_.failover_migrations.inc(outcome.moved.size());
   metrics_.dropped_calls.inc(outcome.dropped.size());
@@ -333,15 +300,6 @@ fault::FailoverOutcome Switchboard::server_failed(ServerId server,
     outcome = selector_->drain_server(server, now, budget,
                                       options_.failover.drain_batch);
   }
-  if (store_) {
-    for (const fault::FailoverMove& m : outcome.moved) {
-      store_->set("call:" + std::to_string(m.call.value()) + ":dc",
-                  std::to_string(m.to.value()));
-    }
-    for (CallId c : outcome.dropped) {
-      store_->erase("call:" + std::to_string(c.value()) + ":dc");
-    }
-  }
   metrics_.failover_migrations.inc(outcome.moved.size());
   metrics_.dropped_calls.inc(outcome.dropped.size());
   span.attr(obs::AttrKey::kMoved,
@@ -367,10 +325,6 @@ pack::DefragResult Switchboard::defragment_dc(DcId dc,
   {
     std::shared_lock lock(swap_mutex_);
     result = selector_->defragment_dc(dc, max_moves);
-  }
-  if (store_) {
-    // Defrag never changes a call's DC, so call:*:dc entries are already
-    // correct; nothing to rewrite.
   }
   metrics_.defrag_moves.inc(result.moves.size());
   return result;

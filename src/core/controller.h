@@ -1,7 +1,8 @@
 // The Switchboard controller facade (Fig 6): wires the offline pipeline
 // (demand -> capacity provisioning -> allocation plan) to the realtime MP
-// selector, with optional per-event persistence to a KV store (the paper's
-// Redis) — the configuration the Fig 10 controller benchmark measures.
+// selector. Per-event persistence to the KV store (the paper's Redis) is
+// the caller's: sb_cluster and the Fig 10 benchmark write each call's
+// snapshot_call() row as a WAL record (cluster/wal.h).
 //
 // This is the primary public API of the library; see examples/quickstart.cpp.
 #pragma once
@@ -16,7 +17,6 @@
 #include "core/allocation_plan.h"
 #include "core/provisioner.h"
 #include "core/realtime.h"
-#include "kvstore/kvstore.h"
 #include "obs/metrics.h"
 
 namespace sb {
@@ -48,11 +48,9 @@ struct ControllerOptions {
 ///
 /// Threading (DESIGN.md "Threading model"): there is no global event lock.
 /// The selector is internally lock-striped, so concurrent events contend
-/// only when they hit the same call shard; KV-store persistence happens
-/// after the shard lock is released. Per-call store writes stay
-/// last-writer-wins because each call's events are ordered by its driver
-/// (signaling threads and the concurrent simulator both give every call a
-/// single-thread affinity), and distinct calls never share a key.
+/// only when they hit the same call shard. Each call's events are ordered
+/// by its driver (signaling threads and the concurrent simulator both give
+/// every call a single-thread affinity).
 class Switchboard {
  public:
   Switchboard(EvalContext ctx, ControllerOptions options);
@@ -197,10 +195,6 @@ class Switchboard {
     return selector_->packer();
   }
 
-  /// Attaches a state store; subsequent realtime events persist call state
-  /// (writes happen outside the selector lock so they overlap).
-  void attach_store(KvStore* store) { store_ = store; }
-
  private:
   /// sb.realtime.* / sb.provisioner.* handles, resolved once at controller
   /// construction so the concurrent event path never does a name lookup.
@@ -251,7 +245,6 @@ class Switchboard {
   std::mutex fault_mutex_;
   std::vector<SimTime> dc_fail_time_;
   std::atomic<std::uint64_t> plan_epoch_{0};
-  KvStore* store_ = nullptr;
 };
 
 }  // namespace sb

@@ -19,6 +19,13 @@ Topology::Topology(const World& world)
   require(node_count_ > 0, "Topology: world has no locations");
 }
 
+// GCC 12 at -O3 reports a bogus -Wrestrict inside the inlined
+// `"literal" + std::to_string(n)` below (GCC PR 105651); the string is built
+// correctly. Silence that one warning for this function only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
+#endif
 LinkId Topology::add_link(LocationId a, LocationId b, double latency_ms,
                           double cost_per_gbps) {
   require(a.valid() && a.value() < node_count_, "add_link: bad endpoint a");
@@ -34,6 +41,9 @@ LinkId Topology::add_link(LocationId a, LocationId b, double latency_ms,
   ready_ = false;
   return id;
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 void Topology::compute_paths() {
   dist_ms_.assign(node_count_ * node_count_, kInf);

@@ -1,8 +1,8 @@
 // Reference LP solver: two-phase primal simplex on a dense tableau.
-// Simple enough to be verifiably correct; the test suite cross-checks the
-// revised simplex against it on randomized instances. Suitable for problems
-// up to a few hundred rows; larger Switchboard instances use
-// revised_simplex.h.
+// Simple enough to be verifiably correct; the test suite and sb_check's LP
+// differential cross-check the sparse engines against it on small
+// instances. Reachable only through Method::kDense — kAuto never routes a
+// production solve here.
 #pragma once
 
 #include <cstddef>
@@ -12,7 +12,7 @@
 
 namespace sb::lp {
 
-/// Tuning knobs shared by both simplex implementations.
+/// Tuning knobs shared by every simplex engine.
 struct SimplexOptions {
   std::size_t max_iterations = 200000;
   /// Reduced-cost optimality tolerance.
@@ -21,7 +21,7 @@ struct SimplexOptions {
   double feasibility_tol = 1e-7;
   /// Consecutive non-improving iterations before switching to Bland's rule.
   std::size_t stall_limit = 500;
-  /// Revised engines only: refactorize the basis every N pivots. The sparse
+  /// Sparse engines only: refactorize the basis every N pivots. The sparse
   /// engine's product-form etas carry near-dense FTRAN images, so every
   /// btran pays O(interval * m) — while a fresh LU costs well under a
   /// millisecond on Switchboard-shaped bases. Short intervals win by a wide
@@ -40,9 +40,10 @@ struct SfSolution {
   std::vector<double> values;
   std::size_t iterations = 0;
   /// Final status per standard-form column — var_count() structurals
-  /// followed by one logical per row (sparse engine only; empty for the
-  /// dense engines). Feed back via solve_sparse(..., warm) to warm-start;
-  /// the engine also accepts a structurals-only prefix.
+  /// followed by one logical per row (sparse and dual engines; empty for
+  /// the dense tableau). Feed back via solve_sparse(..., warm) or
+  /// solve_dual(..., warm) to warm-start; both also accept a
+  /// structurals-only prefix.
   std::vector<VarStatus> statuses;
 };
 

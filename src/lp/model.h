@@ -100,14 +100,14 @@ struct Solution {
   double objective = 0.0;
   std::vector<double> values;
   std::size_t iterations = 0;
-  /// Final basis, one status per model variable. Filled only by the sparse
-  /// engine (Method::kSparse / kAuto dispatching to it) on optimal solves;
-  /// empty otherwise. Feed it to SolveOptions::warm_start of a related
+  /// Final basis, one status per model variable. Filled by every engine
+  /// but the dense tableau (Method::kDense) on optimal solves; empty
+  /// otherwise. Feed it to SolveOptions::warm_start of a related
   /// model to skip most of phase 1/2.
   std::vector<VarStatus> basis;
   /// Final status of each constraint row's logical (slack/surplus) variable,
   /// one per model constraint; kBasic means the row was inactive (slack
-  /// basic) at the optimum. Filled alongside `basis` by the sparse engine;
+  /// basic) at the optimum. Filled alongside `basis`;
   /// rows removed by presolve report kBasic. Feed it to
   /// SolveOptions::warm_start_rows together with `basis` — without the row
   /// pattern the engine must guess which rows were tight, which costs

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "lp/block_decompose.h"
-#include "lp/dense_inverse_simplex.h"
 #include "lp/dual_simplex.h"
 #include "lp/presolve.h"
 #include "lp/revised_simplex.h"
@@ -42,7 +41,6 @@ struct SolveMetrics {
   obs::Histogram& eta_nnz;
   obs::Histogram& solve_s;
   obs::Histogram& solve_dense_s;
-  obs::Histogram& solve_revised_s;
   obs::Histogram& solve_sparse_s;
   obs::Histogram& solve_dual_s;
   obs::Histogram& decompose_detect_s;
@@ -75,7 +73,6 @@ struct SolveMetrics {
           r.histogram("sb.lp.eta_nnz"),
           r.histogram("sb.lp.solve_s"),
           r.histogram("sb.lp.solve_dense_s"),
-          r.histogram("sb.lp.solve_revised_s"),
           r.histogram("sb.lp.solve_sparse_s"),
           r.histogram("sb.lp.solve_dual_s"),
           r.histogram("sb.lp.decompose_detect_s"),
@@ -91,20 +88,11 @@ obs::Histogram& method_timer_for(SolveMetrics& metrics, Method method) {
   switch (method) {
     case Method::kDense:
       return metrics.solve_dense_s;
-    case Method::kRevised:
-      return metrics.solve_revised_s;
     case Method::kDual:
       return metrics.solve_dual_s;
     default:
       return metrics.solve_sparse_s;
   }
-}
-
-/// The dual / sparse / decomposed engines share the bounded-variable
-/// standard form (BoundPolicy::kInline), the warm-start contract, and the
-/// status-vector layout.
-[[nodiscard]] bool sparse_family(Method method) {
-  return method == Method::kSparse || method == Method::kDual;
 }
 
 }  // namespace
@@ -141,44 +129,36 @@ Solution solve(const Model& model, const SolveOptions& options) {
     target = &pre.reduced;
   }
 
-  // kAuto routing table (documented in DESIGN.md): tiny models take the
-  // dense tableau; warm re-solves flagged as bound/rhs perturbations take
-  // the dual simplex; everything else takes the primal sparse engine, with
-  // large cold solves additionally eligible for block decomposition below.
+  // kAuto routing table (documented in DESIGN.md): warm re-solves flagged
+  // as bound/rhs perturbations take the dual simplex; everything else takes
+  // the primal sparse engine, with large cold solves additionally eligible
+  // for block decomposition below. The dense tableau is never auto-routed.
   const bool has_warm_hint = !options.warm_start.empty() &&
                              options.warm_start.size() ==
                                  model.variable_count();
   Method method = options.method;
   if (method == Method::kAuto) {
-    if (target->constraint_count() < kAutoSparseRowCutoff) {
-      method = Method::kDense;
-    } else if (options.dual_resolve && has_warm_hint) {
-      method = Method::kDual;
-    } else {
-      method = Method::kSparse;
-    }
+    method = options.dual_resolve && has_warm_hint ? Method::kDual
+                                                   : Method::kSparse;
   }
+  // The dual / sparse / decomposed engines share the bounded-variable
+  // standard form (BoundPolicy::kInline), the warm-start contract, and the
+  // status-vector layout; only the reference tableau differs.
+  const bool sparse_family = method != Method::kDense;
   const StandardForm sf = to_standard_form(
-      *target, sparse_family(method) ? BoundPolicy::kInline
-                                     : BoundPolicy::kUpperRows);
-  if (method == Method::kDense && sf.rows.size() > kDenseRowLimit) {
+      *target, sparse_family ? BoundPolicy::kInline : BoundPolicy::kUpperRows);
+  if (!sparse_family && sf.rows.size() > kDenseRowLimit) {
     throw InvalidArgument(
         "lp: dense tableau is limited to " + std::to_string(kDenseRowLimit) +
         " standard-form rows (got " + std::to_string(sf.rows.size()) +
         "); use Method::kSparse or kAuto");
-  }
-  if (method == Method::kRevised && sf.rows.size() > kDenseInverseRowLimit) {
-    throw InvalidArgument(
-        "lp: dense-inverse revised simplex is limited to " +
-        std::to_string(kDenseInverseRowLimit) + " standard-form rows (got " +
-        std::to_string(sf.rows.size()) + "); use Method::kSparse or kAuto");
   }
 
   // Map the warm-start statuses (model variable space) onto the reduced
   // model's structural variables. Variables presolve fixed simply drop out.
   std::vector<VarStatus> sf_warm;
   const std::vector<VarStatus>* warm_ptr = nullptr;
-  if (sparse_family(method) && has_warm_hint) {
+  if (sparse_family && has_warm_hint) {
     sf_warm.assign(sf.var_count(), VarStatus::kAtLower);
     for (std::size_t i = 0; i < options.warm_start.size(); ++i) {
       const int sv = sf.var_map[i];
@@ -213,12 +193,11 @@ Solution solve(const Model& model, const SolveOptions& options) {
   if (method == Method::kSparse && warm_ptr == nullptr &&
       options.decompose != DecomposePolicy::kOff &&
       (options.decompose == DecomposePolicy::kForce ||
-       sf.rows.size() >= options.decompose_min_rows)) {
+       sf.rows.size() >= kDecomposeMinRows)) {
     plan = detect_blocks(sf);
     const std::size_t min_blocks =
-        options.decompose == DecomposePolicy::kForce
-            ? 2
-            : options.decompose_min_blocks;
+        options.decompose == DecomposePolicy::kForce ? 2
+                                                     : kDecomposeMinBlocks;
     decomposed = plan.usable(min_blocks);
   }
 
@@ -230,9 +209,6 @@ Solution solve(const Model& model, const SolveOptions& options) {
     switch (method) {
       case Method::kDense:
         raw = solve_dense(sf, options);
-        break;
-      case Method::kRevised:
-        raw = solve_dense_inverse(sf, options);
         break;
       case Method::kDual: {
         DualSolveStats dual_stats;
@@ -300,7 +276,7 @@ Solution solve(const Model& model, const SolveOptions& options) {
     // reduced model's standard form lands in the original variable space.
     solution.values = map_back(sf, raw.values, model.variable_count());
     solution.objective = model.objective_value(solution.values);
-    if (sparse_family(method)) {
+    if (sparse_family) {
       // Variables presolve (or upper == lower) substituted out have no
       // standard-form column; they report kFixed. When presolve fixes
       // EVERYTHING the engine sees an empty model and returns no statuses —

@@ -11,49 +11,51 @@
 
 namespace sb::lp {
 
+/// Numeric values are pinned: sb_check repro files store the method as a raw
+/// integer, so a value is never reused. 2 was the deleted dense-inverse
+/// revised simplex; the repro parser (check/fuzz_case.cpp) rejects it.
 enum class Method {
-  kAuto,     ///< routing table below: dense / sparse / dual / decomposed
-  kDense,    ///< force the dense tableau (reference implementation)
-  kRevised,  ///< force the legacy dense-inverse revised simplex
-  kSparse,   ///< force the sparse LU/eta bounded-variable engine
-  kDual,     ///< force the dual simplex (lp/dual_simplex.h); falls back to
-             ///< the primal sparse engine when it cannot finish
+  kAuto = 0,    ///< routing table below: sparse / dual / decomposed
+  kDense = 1,   ///< force the dense tableau (reference implementation; only
+                ///< reachable through this value, never from kAuto)
+  kSparse = 3,  ///< force the sparse LU/eta bounded-variable engine
+  kDual = 4,    ///< force the dual simplex (lp/dual_simplex.h); falls back
+                ///< to the primal sparse engine when it cannot finish
 };
 
 /// Whether kAuto may route a cold large solve through the block-angular
 /// decomposition (lp/block_decompose.h).
 enum class DecomposePolicy {
-  kAuto,   ///< decompose when cold, >= decompose_min_rows rows, and
-           ///< detect_blocks finds >= decompose_min_blocks blocks
+  kAuto,   ///< decompose when cold, >= kDecomposeMinRows rows, and
+           ///< detect_blocks finds >= kDecomposeMinBlocks blocks
   kOff,    ///< never decompose
   kForce,  ///< decompose whenever detection finds >= 2 blocks (testing)
 };
 
-/// kAuto cutoff: models with at least this many constraints go to the sparse
-/// engine; below it the dense tableau's tiny constant factor wins (tuned
-/// with bench/micro_lp.cpp — the crossover sits well under 100 rows because
-/// the sparse engine prices and factorizes only nonzeros).
-inline constexpr std::size_t kAutoSparseRowCutoff = 32;
-
-/// The dense tableau materializes an m x (n + m) tableau and the legacy
-/// revised simplex a dense m x m inverse; both are quadratic-plus in the row
-/// count. Forcing them beyond these limits throws InvalidArgument instead of
-/// silently burning memory and time — use Method::kSparse (or kAuto) for
-/// large instances. Limits count standard-form rows, which for these
-/// engines include one row per finite upper bound.
+/// The dense tableau materializes an m x (n + m) tableau, quadratic-plus in
+/// the row count. Forcing it beyond this limit throws InvalidArgument instead
+/// of silently burning memory and time — use Method::kSparse (or kAuto) for
+/// large instances. The limit counts standard-form rows, which for this
+/// engine include one row per finite upper bound.
 inline constexpr std::size_t kDenseRowLimit = 2000;
-inline constexpr std::size_t kDenseInverseRowLimit = 8000;
+
+/// kAuto decomposition requires at least this many standard-form rows —
+/// below it the monolithic sparse solve wins outright.
+inline constexpr std::size_t kDecomposeMinRows = 512;
+/// ... and at least this many detected blocks, so the clean-up solve has
+/// meaningfully smaller work than the original LP.
+inline constexpr std::size_t kDecomposeMinBlocks = 4;
 
 struct SolveOptions : SimplexOptions {
   Method method = Method::kAuto;
   /// Run the presolve reductions (singleton rows -> bounds, empty rows,
   /// early infeasibility) before the simplex. See lp/presolve.h.
   bool use_presolve = true;
-  /// Optional warm start for the sparse engine: one status per model
-  /// variable, as returned in Solution::basis by a previous solve of a
+  /// Optional warm start for the sparse and dual engines: one status per
+  /// model variable, as returned in Solution::basis by a previous solve of a
   /// structurally similar model (same variables, perturbed rows/bounds —
-  /// e.g. successive failure scenarios). Ignored by the dense engines;
-  /// a mismatched size falls back to a cold start.
+  /// e.g. successive failure scenarios). Ignored by the dense tableau
+  /// (Method::kDense); a mismatched size falls back to a cold start.
   std::vector<VarStatus> warm_start;
   /// Optional companion to `warm_start`: one status per model constraint,
   /// as returned in Solution::row_basis. Supplying it preserves which rows
@@ -69,12 +71,6 @@ struct SolveOptions : SimplexOptions {
   bool dual_resolve = false;
   /// Cold-solve decomposition policy; see DecomposePolicy.
   DecomposePolicy decompose = DecomposePolicy::kAuto;
-  /// kAuto decomposition requires at least this many standard-form rows —
-  /// below it the monolithic sparse solve wins outright.
-  std::size_t decompose_min_rows = 512;
-  /// ... and at least this many detected blocks, so the clean-up solve has
-  /// meaningfully smaller work than the original LP.
-  std::size_t decompose_min_blocks = 4;
   /// Thread-pool size for parallel subproblem solves; <= 1 solves them
   /// sequentially. Subproblems are independent and stitched in block order,
   /// so the result is bit-identical at any thread count.
@@ -83,8 +79,8 @@ struct SolveOptions : SimplexOptions {
 
 /// Solves `model` (minimization). The returned Solution's `values` cover all
 /// model variables, including fixed ones. Throws InvalidArgument for models
-/// with non-finite lower bounds or when a dense method is forced beyond its
-/// row limit; solver failures are reported via Solution::status, not
+/// with non-finite lower bounds or when the dense tableau is forced beyond
+/// kDenseRowLimit; solver failures are reported via Solution::status, not
 /// exceptions.
 Solution solve(const Model& model, const SolveOptions& options = {});
 

@@ -4,8 +4,8 @@
 //
 // Fixed variables (lower == upper) are substituted out; remaining variables
 // are shifted by their lower bound. Finite upper bounds are handled by
-// policy: the legacy dense solvers want them materialized as extra `<=`
-// rows (BoundPolicy::kUpperRows); the sparse bounded-variable simplex keeps
+// policy: the reference dense tableau wants them materialized as extra `<=`
+// rows (BoundPolicy::kUpperRows); the sparse bounded-variable engines keep
 // them in the per-variable `upper` array instead (BoundPolicy::kInline),
 // which keeps the row count — and the basis size — independent of how many
 // variables are bounded. map_back() restores values in the original model's
@@ -26,8 +26,8 @@ struct StandardRow {
 
 /// How finite upper bounds are represented in the standard form.
 enum class BoundPolicy {
-  kUpperRows,  ///< emit one `x <= u` row per bounded variable (dense solvers)
-  kInline,     ///< keep bounds in `upper`; no extra rows (sparse engine)
+  kUpperRows,  ///< emit one `x <= u` row per bounded variable (dense tableau)
+  kInline,     ///< keep bounds in `upper`; no extra rows (sparse engines)
 };
 
 struct StandardForm {

@@ -181,7 +181,7 @@ TEST(DemandMatrixTest, ColumnLookup) {
   DemandMatrix m = make_demand_matrix({ConfigId(7), ConfigId(3)}, 1);
   EXPECT_EQ(m.column_of(ConfigId(3)), 1u);
   EXPECT_EQ(m.config_at(0), ConfigId(7));
-  EXPECT_THROW(m.column_of(ConfigId(9)), InvalidArgument);
+  EXPECT_THROW((void)m.column_of(ConfigId(9)), InvalidArgument);
 }
 
 }  // namespace

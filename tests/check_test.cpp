@@ -78,6 +78,32 @@ TEST(FuzzerTest, CaseSurvivesJsonRoundTrip) {
   EXPECT_EQ(ma->faults.size(), mb->faults.size());
 }
 
+// lp::Method values are pinned in repro files. A repro naming the deleted
+// dense-inverse engine (2) or any other unknown value is refused with a
+// typed error instead of being cast onto whatever enum value now sits
+// there; the surviving values keep their numbers.
+TEST(FuzzerTest, ReproNamingDeletedLpMethodIsRefused) {
+  const FuzzCase a = ScenarioFuzzer().generate(3);
+  const auto with_method = [&](std::int64_t method) {
+    Json j = a.to_json();
+    j["options"]["lp_method"] = method;
+    return Json::parse(j.dump());
+  };
+  for (const std::int64_t bad : {std::int64_t{2}, std::int64_t{-1},
+                                 std::int64_t{5}, std::int64_t{99}}) {
+    EXPECT_THROW((void)FuzzCase::from_json(with_method(bad)), InvalidArgument)
+        << "lp_method " << bad;
+  }
+  for (const lp::Method m : {lp::Method::kAuto, lp::Method::kDense,
+                             lp::Method::kSparse, lp::Method::kDual}) {
+    const FuzzCase b =
+        FuzzCase::from_json(with_method(static_cast<std::int64_t>(m)));
+    EXPECT_EQ(b.options.lp_method, m);
+  }
+  EXPECT_EQ(static_cast<int>(lp::Method::kSparse), 3);
+  EXPECT_EQ(static_cast<int>(lp::Method::kDual), 4);
+}
+
 TEST(RunCaseTest, FuzzedSeedsPassAllOracles) {
   const ScenarioFuzzer fuzzer;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {

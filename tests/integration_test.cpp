@@ -9,6 +9,7 @@
 
 #include "baselines/locality_first.h"
 #include "baselines/round_robin.h"
+#include "cluster/allocator.h"
 #include "common/csv.h"
 #include "core/controller.h"
 #include "obs/snapshot.h"
@@ -213,8 +214,9 @@ TEST_F(PipelineFixture, MetricsSnapshotExportsAllSubsystems) {
   GTEST_SKIP() << "built with SB_METRICS=OFF";
 #else
   // Exercise every instrumented subsystem once: provisioning (lp +
-  // provisioner), the allocation plan, and a KV-backed realtime replay
-  // (realtime + kvstore + sim).
+  // provisioner), the allocation plan, and a realtime replay through the
+  // cluster control plane, whose WAL lives in the KV store (realtime +
+  // kvstore + sim).
   ControllerOptions options;
   options.provision.include_link_failures = false;
   options.provision.with_backup = false;
@@ -222,15 +224,12 @@ TEST_F(PipelineFixture, MetricsSnapshotExportsAllSubsystems) {
   Switchboard controller(*ctx_, options);
   controller.provision(*demand_);
   controller.build_allocation_plan(*demand_, kSecondsPerDay);
-  KvStoreOptions store_options;
-  store_options.inject_latency = false;
-  KvStore store(store_options);
-  controller.attach_store(&store);
+  cluster::ClusterController cluster(controller, {});
 
   const double start = kSecondsPerDay + 3.0 * kSecondsPerHour;
   const CallRecordDatabase db =
       scenario_->trace->generate(start, start + 1.0 * kSecondsPerHour);
-  ControllerAllocator allocator(controller);
+  cluster::ClusterAllocator allocator(cluster);
   Simulator sim(*ctx_);
   sim.run(db, allocator);
 

@@ -215,15 +215,12 @@ TEST(AdaptiveLoop, CorrectsUnderForecastAndConverges) {
 // Every replan, the first included, re-solves each scenario LP from its own
 // basis in the installed plan's provision: no provisioning LP solves cold.
 // The one cold solve per replan is install_plan's allocation LP (Eq 10),
-// which keeps no basis between plans. 300 s slots keep every scenario LP
-// above lp::kAutoSparseRowCutoff; below it kAuto takes the dense tableau,
-// which never warm-starts.
+// which keeps no basis between plans.
 TEST(AdaptiveLoop, ReplansReprovisionWarmFromTheInstalledPlan) {
 #ifndef SB_METRICS_ENABLED
   GTEST_SKIP() << "reads sb.lp counters; built with SB_METRICS=OFF";
 #endif
-  FuzzCase c = steady_case();
-  c.options.slot_s = 300.0;
+  const FuzzCase c = steady_case();
   LoopHarness h(c, 0.3);
   const std::size_t scenario_count =
       h.sb->provision_result()->scenarios.size();

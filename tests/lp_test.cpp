@@ -1,5 +1,5 @@
 // Unit tests for the LP toolkit: model building, standard-form conversion,
-// and both simplex implementations on problems with known optima.
+// and the dense, sparse and dual simplex engines on problems with known optima.
 #include <gtest/gtest.h>
 
 #include "lp/solver.h"
@@ -153,14 +153,14 @@ TEST_P(SimplexMethodTest, TransportationProblem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, SimplexMethodTest,
-                         ::testing::Values(Method::kDense, Method::kRevised,
-                                           Method::kSparse),
+                         ::testing::Values(Method::kDense, Method::kSparse,
+                                           Method::kDual),
                          [](const auto& info) {
                            switch (info.param) {
                              case Method::kDense:
                                return "Dense";
-                             case Method::kRevised:
-                               return "Revised";
+                             case Method::kDual:
+                               return "Dual";
                              default:
                                return "Sparse";
                            }

@@ -69,10 +69,8 @@ struct Harness {
           c.options.floor_mode == 1 ? ProvisionOptions::FloorMode::kFromBase
                                     : ProvisionOptions::FloorMode::kChained;
       copts.provision.scenario_threads = c.options.scenario_threads;
-      copts.provision.lp_options.method =
-          static_cast<lp::Method>(c.options.lp_method);
-      copts.allocation.lp_options.method =
-          static_cast<lp::Method>(c.options.lp_method);
+      copts.provision.lp_options.method = c.options.lp_method;
+      copts.allocation.lp_options.method = c.options.lp_method;
       copts.realtime.freeze_delay_s = c.options.freeze_delay_s;
       copts.realtime.shard_count = c.options.shard_count;
       sb = std::make_unique<Switchboard>(m.ctx(), copts);

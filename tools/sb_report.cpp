@@ -176,7 +176,7 @@ Json trace_json(const TraceReport& rep) {
     row["mean_s"] = s.mean_s();
     row["min_s"] = s.min_s;
     row["max_s"] = s.max_s;
-    by_name.push_back(Json(std::move(row)));
+    by_name.emplace_back(std::move(row));
   }
   out["by_name"] = Json(std::move(by_name));
   return Json(std::move(out));
@@ -272,7 +272,7 @@ Json timeseries_json(const SeriesReport& rep) {
     row["min"] = c.min;
     row["max"] = c.max;
     if (is_counter_column(c.name)) row["delta"] = c.last - c.first;
-    cols.push_back(Json(std::move(row)));
+    cols.emplace_back(std::move(row));
   }
   out["columns"] = Json(std::move(cols));
   return Json(std::move(out));
