@@ -65,8 +65,10 @@ int run() {
   std::cout << "Fig 4(a): demand (cores) per time slot\n";
   TextTable d({"slot", "JP", "HK", "IN"});
   for (TimeSlot t = 0; t < 3; ++t) {
+    // Appended: gcc 12 at -O3 misreports `"T" + std::to_string(..)` as an
+    // overlapping copy (GCC bug 105651).
     d.row()
-        .cell("T" + std::to_string(t + 1))
+        .cell(std::string("T").append(std::to_string(t + 1)))
         .cell(demand.demand(t, 0), 0)
         .cell(demand.demand(t, 1), 0)
         .cell(demand.demand(t, 2), 0);

@@ -286,8 +286,13 @@ int main(int argc, char** argv) {
       wtab.row()
           .cell("worker-" + std::to_string(w.id.value()))
           .cell(w.alive ? "alive" : "down")
-          .cell("[" + std::to_string(w.initial_begin) + ", " +
-                std::to_string(w.initial_end) + ")")
+          // Appended: gcc 12 at -O3 misreports `"[" + std::to_string(..)`
+          // as an overlapping copy (GCC bug 105651).
+          .cell(std::string("[")
+                    .append(std::to_string(w.initial_begin))
+                    .append(", ")
+                    .append(std::to_string(w.initial_end))
+                    .append(")"))
           .cell(w.shards_owned)
           .cell(w.events_applied)
           .cell(w.takeovers)

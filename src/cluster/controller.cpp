@@ -65,12 +65,17 @@ ClusterController::ClusterController(Switchboard& controller,
   // re-grants live workers' leases before any expiry sweep, so a sim clock
   // starting hours in never mistakes birth for death.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    const WorkerId id(static_cast<std::uint32_t>(w));
-    kv_.acquire_lease(lease_key(id), worker_name(id), options_.lease_ttl_s,
-                      0.0);
-    ++stats_.lease_acquires;
-    metrics_.lease_acquires.inc();
+    acquire_lease_locked(WorkerId(static_cast<std::uint32_t>(w)), 0.0);
   }
+}
+
+void ClusterController::acquire_lease_locked(WorkerId w, SimTime now) {
+  kv_.acquire_lease(lease_key(w), worker_name(w), options_.lease_ttl_s, now);
+  Worker& worker = workers_[w.value()];
+  worker.lease_held = true;
+  worker.lease_expires_at = now + options_.lease_ttl_s;
+  ++stats_.lease_acquires;
+  metrics_.lease_acquires.inc();
 }
 
 std::size_t ClusterController::shard_of(CallId call) const {
@@ -161,27 +166,36 @@ void ClusterController::take_over_orphans_locked(WorkerId adopter, SimTime now,
 void ClusterController::tick_locked(SimTime now) {
   // 1. Live workers keep their leases fresh (the in-process stand-in for
   //    background heartbeats): re-grant inside the half-TTL window, and
-  //    re-acquire outright after an event gap longer than the TTL.
+  //    re-acquire outright after an event gap longer than the TTL. The
+  //    window test reads the mirror, so an event outside it costs no KV op.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!workers_[w].alive) continue;
+    Worker& worker = workers_[w];
+    if (!worker.alive) continue;
+    if (worker.lease_held &&
+        worker.lease_expires_at - now > options_.lease_ttl_s / 2) {
+      continue;
+    }
     const WorkerId id(static_cast<std::uint32_t>(w));
-    const auto info = kv_.lease(lease_key(id));
-    if (info && info->expires_at - now > options_.lease_ttl_s / 2) continue;
     if (kv_.renew_lease(lease_key(id), worker_name(id), options_.lease_ttl_s,
                         now)) {
+      worker.lease_expires_at = now + options_.lease_ttl_s;
       ++stats_.lease_renewals;
       metrics_.lease_renewals.inc();
     } else {
-      kv_.acquire_lease(lease_key(id), worker_name(id), options_.lease_ttl_s,
-                        now);
-      ++stats_.lease_acquires;
-      metrics_.lease_acquires.inc();
+      acquire_lease_locked(id, now);
     }
   }
-  // 2. Expiry sweep: after step 1 only dead workers' leases can lapse. A
-  //    lapse is the TTL crash detector — survivors adopt the whole orphaned
-  //    set at once.
+  // 2. Expiry sweep, only when the mirror shows a row lapsed at `now`:
+  //    after step 1 that can only be a dead worker's. A lapse is the TTL
+  //    crash detector — survivors adopt the whole orphaned set at once.
+  const auto lapsed = [now](const Worker& worker) {
+    return worker.lease_held && worker.lease_expires_at <= now;
+  };
+  if (std::none_of(workers_.begin(), workers_.end(), lapsed)) return;
   const auto expired = kv_.expire_leases(now);
+  for (Worker& worker : workers_) {
+    if (lapsed(worker)) worker.lease_held = false;
+  }
   if (!expired.empty()) {
     stats_.lease_expiries += expired.size();
     metrics_.lease_expiries.inc(expired.size());
@@ -221,19 +235,18 @@ WorkerId ClusterController::route_locked(std::size_t shard, SimTime now) {
   return WorkerId();
 }
 
-void ClusterController::write_wal(CallId call, std::size_t shard) {
-  const auto snap = sb_.snapshot_call(call);
-  if (snap.has_value()) {
-    kv_.set(wal_key(shard, call), encode_wal_record(*snap));
-  } else {
-    kv_.erase(wal_key(shard, call));
+void ClusterController::finish_apply(CallId call, std::size_t shard,
+                                     WorkerId worker, bool log_wal) {
+  if (log_wal) {
+    const std::string key = wal_key(shard, call);
+    if (const auto snap = sb_.snapshot_call(call)) {
+      kv_.set(key, encode_wal_record(*snap));
+    } else {
+      kv_.erase(key);  // row gone (end or drop) -> erases the record
+    }
   }
   std::lock_guard lock(mutex_);
-  ++stats_.wal_writes;
-}
-
-void ClusterController::note_apply(WorkerId worker) {
-  std::lock_guard lock(mutex_);
+  if (log_wal) ++stats_.wal_writes;
   ++stats_.events_applied;
   if (worker.valid()) {
     ++workers_[worker.value()].events_applied;
@@ -252,8 +265,7 @@ DcId ClusterController::call_started(CallId call, LocationId first_joiner,
     worker = route_locked(shard, now);
   }
   const DcId dc = sb_.call_started(call, first_joiner, now);
-  write_wal(call, shard);
-  note_apply(worker);
+  finish_apply(call, shard, worker, /*log_wal=*/true);
   return dc;
 }
 
@@ -267,8 +279,8 @@ FreezeResult ClusterController::config_frozen(CallId call,
     worker = route_locked(shard, now);
   }
   const FreezeResult result = sb_.config_frozen(call, config, now);
-  if (!options_.chaos_skip_wal_freeze) write_wal(call, shard);
-  note_apply(worker);
+  finish_apply(call, shard, worker,
+               /*log_wal=*/!options_.chaos_skip_wal_freeze);
   return result;
 }
 
@@ -280,8 +292,7 @@ void ClusterController::call_ended(CallId call, SimTime now) {
     worker = route_locked(shard, now);
   }
   sb_.call_ended(call, now);
-  write_wal(call, shard);  // row gone -> erases the record
-  note_apply(worker);
+  finish_apply(call, shard, worker, /*log_wal=*/true);
 }
 
 void ClusterController::rewrite_wal_locked(
@@ -381,10 +392,7 @@ void ClusterController::worker_restarted(WorkerId worker, SimTime now) {
   if (sb_.health().worker_count() > worker.value()) {
     sb_.health_mut().set_worker(worker, true);
   }
-  kv_.acquire_lease(lease_key(worker), worker_name(worker),
-                    options_.lease_ttl_s, now);
-  ++stats_.lease_acquires;
-  metrics_.lease_acquires.inc();
+  acquire_lease_locked(worker, now);
   // Sticky re-adoption: only shards still orphaned under this worker's
   // name come back; anything a survivor already adopted stays adopted.
   std::vector<std::size_t> mine;

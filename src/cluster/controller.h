@@ -16,7 +16,8 @@
 // survivors through two paths: expedited (the next event routed to an
 // orphaned shard adopts immediately — the health table's worker row is the
 // crash notification that short-circuits the TTL) or lease expiry (the
-// per-dispatch tick sweeps expired leases). Adoption bumps the cluster
+// per-dispatch tick sweeps the store once its mirror of the lease rows
+// shows one lapsed). Adoption bumps the cluster
 // epoch via `put_if` CAS on `cluster:epoch`, replays the range's WAL into
 // the selector verbatim (no re-debit), and re-points ownership to the
 // adopter with the fewest shards (ties: lowest id) — shards move, calls
@@ -158,6 +159,11 @@ class ClusterController {
  private:
   struct Worker {
     bool alive = true;
+    /// Mirror of the worker's lease row: the coordinator is the only
+    /// writer of lease rows, so it can judge renewal and expiry without a
+    /// store read. `lease_held` is false once expire_leases swept the row.
+    bool lease_held = false;
+    double lease_expires_at = 0.0;
     SimTime killed_at = 0.0;
     std::uint64_t events_applied = 0;
     std::uint64_t takeovers = 0;
@@ -194,6 +200,8 @@ class ClusterController {
   /// will apply (invalid = degraded direct mode).
   WorkerId route_locked(std::size_t shard, SimTime now);
   void tick_locked(SimTime now);
+  /// Grants `w` a fresh lease row and mirrors it (mutex_ held or sole owner).
+  void acquire_lease_locked(WorkerId w, SimTime now);
   /// Adopts every shard whose owner is dead or invalid onto `adopter` at a
   /// fresh epoch, replaying dirty shards' WAL. `expedited` picks the metric.
   void take_over_orphans_locked(WorkerId adopter, SimTime now, bool expedited);
@@ -202,10 +210,12 @@ class ClusterController {
   /// Alive worker with the fewest shards (ties: lowest id); invalid if none.
   [[nodiscard]] WorkerId choose_adopter_locked() const;
   std::uint64_t bump_epoch_locked();
-  void write_wal(CallId call, std::size_t shard);
+  /// Post-apply: mirrors the call's row into its WAL record (unless
+  /// `log_wal` is false), then counts the event in one mutex_ section.
+  void finish_apply(CallId call, std::size_t shard, WorkerId worker,
+                    bool log_wal);
   /// Re-images (moved) or erases (dropped) the WAL rows a drain touched.
   void rewrite_wal_locked(const fault::FailoverOutcome& outcome);
-  void note_apply(WorkerId worker);
 
   Switchboard& sb_;
   ClusterOptions options_;

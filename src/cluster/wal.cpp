@@ -1,19 +1,89 @@
 #include "cluster/wal.h"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/error.h"
 
 namespace sb::cluster {
+
+namespace {
+
+/// Bump writer over a fixed stack buffer. Every record field has a bounded
+/// width (ids and plan_col in decimal, cores in hexfloat), so the buffers
+/// below are never full; each write is clamped to `end` all the same.
+class Writer {
+ public:
+  Writer(char* begin, char* end) : begin_(begin), p_(begin), end_(end) {}
+
+  void text(std::string_view s) {
+    const auto room = static_cast<std::size_t>(end_ - p_);
+    p_ = std::copy_n(s.data(), std::min(s.size(), room), p_);
+  }
+  template <typename Int>
+  void number(Int v) {
+    p_ = std::to_chars(p_, end_, v).ptr;
+  }
+  /// glibc printf's "%a", byte for byte: [-]0x1.<hex>p<exp> for normal
+  /// values, [-]0x0.<hex>p-1022 for subnormals, [-]0x0p+0 for zero, the
+  /// 13 mantissa hex digits with trailing zeros trimmed (none at all, and
+  /// no point, when the mantissa is zero); inf and nan spelled out.
+  void hexfloat(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+    std::uint64_t mantissa = bits & ((std::uint64_t{1} << 52) - 1);
+    if (bits >> 63 != 0) text("-");
+    if (biased == 0x7ff) {
+      text(mantissa == 0 ? "inf" : "nan");
+      return;
+    }
+    const bool zero = biased == 0 && mantissa == 0;
+    const int exponent = zero ? 0 : biased == 0 ? -1022 : biased - 1023;
+    text(biased == 0 ? "0x0" : "0x1");
+    if (mantissa != 0) {
+      std::size_t digits = 13;
+      while ((mantissa & 0xf) == 0) {
+        mantissa >>= 4;
+        --digits;
+      }
+      char hex[13];
+      for (std::size_t i = digits; i-- > 0; mantissa >>= 4) {
+        hex[i] = "0123456789abcdef"[mantissa & 0xf];
+      }
+      text(".");
+      text(std::string_view(hex, digits));
+    }
+    text(exponent < 0 ? "p-" : "p+");
+    number(exponent < 0 ? -exponent : exponent);
+  }
+  [[nodiscard]] std::string str() const { return std::string(begin_, p_); }
+
+ private:
+  char* begin_;
+  char* p_;
+  char* end_;
+};
+
+}  // namespace
 
 std::string wal_shard_prefix(std::size_t shard) {
   return "wal:" + std::to_string(shard) + ":";
 }
 
 std::string wal_key(std::size_t shard, CallId call) {
-  return wal_shard_prefix(shard) + std::to_string(call.value());
+  char buf[48];
+  Writer w(buf, buf + sizeof(buf));
+  w.text("wal:");
+  w.number(shard);
+  w.text(":");
+  w.number(call.value());
+  return w.str();
 }
 
 CallId call_from_wal_key(const std::string& key) {
@@ -26,16 +96,23 @@ CallId call_from_wal_key(const std::string& key) {
 }
 
 std::string encode_wal_record(const RealtimeSelector::CallSnapshot& snap) {
-  // %a keeps `cores` exact across the round trip; ids are stored raw so the
-  // kInvalid sentinel survives too.
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "dc=%" PRIu32 " fj=%" PRIu32 " col=%zu slot=%d sdc=%" PRIu32
-                " cores=%a srv=%" PRIu32,
-                snap.dc.value(), snap.first_joiner.value(), snap.plan_col,
-                snap.holds_slot ? 1 : 0, snap.slot_dc.value(), snap.cores,
-                snap.server.value());
-  return buf;
+  // Hexfloat keeps `cores` exact across the round trip; ids are stored raw
+  // so the kInvalid sentinel survives too. Widest record: 120 bytes.
+  char buf[160];
+  Writer w(buf, buf + sizeof(buf));
+  w.text("dc=");
+  w.number(snap.dc.value());
+  w.text(" fj=");
+  w.number(snap.first_joiner.value());
+  w.text(" col=");
+  w.number(snap.plan_col);
+  w.text(snap.holds_slot ? " slot=1 sdc=" : " slot=0 sdc=");
+  w.number(snap.slot_dc.value());
+  w.text(" cores=");
+  w.hexfloat(snap.cores);
+  w.text(" srv=");
+  w.number(snap.server.value());
+  return w.str();
 }
 
 RealtimeSelector::CallSnapshot decode_wal_record(const std::string& record) {

@@ -1,9 +1,11 @@
 #include "kvstore/kvstore.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -11,6 +13,12 @@
 namespace sb {
 
 namespace {
+
+/// Table sizing: power-of-two capacities from 16, doubled when an insert
+/// would push the load past 3/4.
+constexpr std::size_t kMinTableCapacity = 16;
+constexpr std::size_t kMaxLoadNum = 3;
+constexpr std::size_t kMaxLoadDen = 4;
 
 /// Latency samples are seconds; the paper's write range is 0.3-4.2 ms, so
 /// [10 us, 1 s) with ~13 buckets/decade resolves it comfortably.
@@ -33,9 +41,92 @@ KvStore::KvStore(KvStoreOptions options)
           "KvStore: bad latency range");
 }
 
-KvStore::Shard& KvStore::shard_for(const std::string& key) const {
-  const std::size_t h = std::hash<std::string>{}(key);
-  return shards_[h % shards_.size()];
+KvStore::Table::Table() { rehash(kMinTableCapacity); }
+
+std::size_t KvStore::Table::home_of(std::uint32_t tag) const {
+  // Fibonacci hashing: the tag's bits spread over the top of the product.
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(tag) * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+std::size_t KvStore::Table::index_of(std::uint32_t tag,
+                                     std::string_view key) const {
+  for (std::size_t i = home_of(tag);; i = (i + 1) & mask_) {
+    if (tags_[i] == 0) return npos;
+    if (tags_[i] == tag && slots_[i].key == key) return i;
+  }
+}
+
+KvStore::Table::Slot* KvStore::Table::find(std::uint32_t tag,
+                                           std::string_view key) {
+  const std::size_t i = index_of(tag, key);
+  return i == npos ? nullptr : &slots_[i];
+}
+
+const KvStore::Table::Slot* KvStore::Table::find(std::uint32_t tag,
+                                                 std::string_view key) const {
+  const std::size_t i = index_of(tag, key);
+  return i == npos ? nullptr : &slots_[i];
+}
+
+KvStore::Table::Slot& KvStore::Table::find_or_insert(std::uint32_t tag,
+                                                     std::string_view key) {
+  if (Slot* found = find(tag, key)) return *found;
+  if ((size_ + 1) * kMaxLoadDen > slots_.size() * kMaxLoadNum) {
+    rehash(slots_.size() * 2);
+  }
+  std::size_t i = home_of(tag);
+  while (tags_[i] != 0) i = (i + 1) & mask_;
+  tags_[i] = tag;
+  slots_[i].key.assign(key);
+  ++size_;
+  return slots_[i];
+}
+
+bool KvStore::Table::erase(std::uint32_t tag, std::string_view key) {
+  std::size_t hole = index_of(tag, key);
+  if (hole == npos) return false;
+  for (std::size_t probe = (hole + 1) & mask_; tags_[probe] != 0;
+       probe = (probe + 1) & mask_) {
+    // The entry at `probe` may fill `hole` iff its home precedes or equals
+    // the hole along the cyclic probe path ending at `probe`.
+    const std::size_t home = home_of(tags_[probe]);
+    if (((probe - home) & mask_) >= ((probe - hole) & mask_)) {
+      tags_[hole] = tags_[probe];
+      slots_[hole] = std::move(slots_[probe]);
+      hole = probe;
+    }
+  }
+  // A moved-from or assigned-over string keeps its heap buffer; swap in
+  // fresh ones so an emptied slot holds no memory.
+  tags_[hole] = 0;
+  std::string().swap(slots_[hole].key);
+  std::string().swap(slots_[hole].value);
+  slots_[hole].version = 0;
+  --size_;
+  return true;
+}
+
+void KvStore::Table::rehash(std::size_t capacity) {
+  const std::vector<std::uint32_t> old_tags =
+      std::exchange(tags_, std::vector<std::uint32_t>(capacity, 0));
+  std::vector<Slot> old_slots =
+      std::exchange(slots_, std::vector<Slot>(capacity));
+  mask_ = capacity - 1;
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::size_t i = 0; i < old_slots.size(); ++i) {
+    if (old_tags[i] == 0) continue;
+    std::size_t j = home_of(old_tags[i]);
+    while (tags_[j] != 0) j = (j + 1) & mask_;
+    tags_[j] = old_tags[i];
+    slots_[j] = std::move(old_slots[i]);
+  }
+}
+
+KvStore::Hashed KvStore::locate(std::string_view key) const {
+  const auto h = static_cast<std::uint64_t>(std::hash<std::string_view>{}(key));
+  return {shards_[h % shards_.size()],
+          static_cast<std::uint32_t>(h >> 32) | 1u};
 }
 
 void KvStore::simulate_network() const {
@@ -54,71 +145,71 @@ void KvStore::simulate_network() const {
   ops_metric_.inc();
 }
 
-void KvStore::set(const std::string& key, std::string value) {
+void KvStore::set(std::string_view key, std::string_view value) {
   simulate_network();
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  Entry& entry = shard.map[key];
-  entry.value = std::move(value);
-  ++entry.version;
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  Table::Slot& slot = at.shard.table.find_or_insert(at.tag, key);
+  slot.value.assign(value);
+  ++slot.version;
 }
 
-std::optional<std::string> KvStore::get(const std::string& key) const {
+std::optional<std::string> KvStore::get(std::string_view key) const {
   simulate_network();
-  const Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
-  return it->second.value;
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  const Table::Slot* slot = at.shard.table.find(at.tag, key);
+  if (slot == nullptr) return std::nullopt;
+  return slot->value;
 }
 
-std::int64_t KvStore::incr(const std::string& key, std::int64_t delta) {
+std::int64_t KvStore::incr(std::string_view key, std::int64_t delta) {
   simulate_network();
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  Table::Slot& slot = at.shard.table.find_or_insert(at.tag, key);
   std::int64_t current = 0;
-  Entry& entry = shard.map[key];
-  if (!entry.value.empty()) current = std::stoll(entry.value);
+  if (!slot.value.empty()) current = std::stoll(slot.value);
   current += delta;
-  entry.value = std::to_string(current);
-  ++entry.version;
+  slot.value = std::to_string(current);
+  ++slot.version;
   return current;
 }
 
 std::optional<KvStore::Versioned> KvStore::get_versioned(
-    const std::string& key) const {
+    std::string_view key) const {
   simulate_network();
-  const Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
-  return Versioned{it->second.value, it->second.version};
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  const Table::Slot* slot = at.shard.table.find(at.tag, key);
+  if (slot == nullptr) return std::nullopt;
+  return Versioned{slot->value, slot->version};
 }
 
-std::optional<std::uint64_t> KvStore::put_if(const std::string& key,
-                                             std::string value,
+std::optional<std::uint64_t> KvStore::put_if(std::string_view key,
+                                             std::string_view value,
                                              std::uint64_t expected_version) {
   simulate_network();
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  const std::uint64_t current = it == shard.map.end() ? 0 : it->second.version;
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  Table::Slot* slot = at.shard.table.find(at.tag, key);
+  const std::uint64_t current = slot == nullptr ? 0 : slot->version;
   if (current != expected_version) return std::nullopt;
-  Entry& entry = it == shard.map.end() ? shard.map[key] : it->second;
-  entry.value = std::move(value);
-  ++entry.version;
-  return entry.version;
+  if (slot == nullptr) slot = &at.shard.table.find_or_insert(at.tag, key);
+  slot->value.assign(value);
+  ++slot->version;
+  return slot->version;
 }
 
 std::vector<std::pair<std::string, std::string>> KvStore::scan_prefix(
-    const std::string& prefix) const {
+    std::string_view prefix) const {
   simulate_network();
   std::vector<std::pair<std::string, std::string>> out;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    for (const auto& [key, entry] : shard.map) {
-      if (key.rfind(prefix, 0) == 0) out.emplace_back(key, entry.value);
-    }
+    shard.table.for_each([&](const Table::Slot& slot) {
+      if (slot.key.starts_with(prefix)) out.emplace_back(slot.key, slot.value);
+    });
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -186,18 +277,18 @@ std::vector<std::string> KvStore::expire_leases(double now) {
   return expired;
 }
 
-bool KvStore::erase(const std::string& key) {
+bool KvStore::erase(std::string_view key) {
   simulate_network();
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mutex);
-  return shard.map.erase(key) > 0;
+  const Hashed at = locate(key);
+  std::lock_guard lock(at.shard.mutex);
+  return at.shard.table.erase(at.tag, key);
 }
 
 std::size_t KvStore::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard lock(shard.mutex);
-    total += shard.map.size();
+    total += shard.table.size();
   }
   return total;
 }

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -30,18 +31,22 @@ struct KvStoreOptions {
 
 /// Thread-safe string store with per-shard locking. Latency injection
 /// happens outside the shard lock (it models the network, not the server),
-/// so concurrent clients overlap their waits.
+/// so concurrent clients overlap their waits. Each key is hashed once: the
+/// hash picks the shard and, inside it, the slot of a flat open-addressing
+/// table (see Table below).
 class KvStore {
  public:
   explicit KvStore(KvStoreOptions options = {});
 
-  void set(const std::string& key, std::string value);
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
+  /// Stores `value` under `key`. Overwriting assigns in place, so a value
+  /// no longer than the one it replaces costs no allocation.
+  void set(std::string_view key, std::string_view value);
+  [[nodiscard]] std::optional<std::string> get(std::string_view key) const;
   /// Atomically adds `delta` to an integer value (missing keys start at 0);
   /// returns the new value.
-  std::int64_t incr(const std::string& key, std::int64_t delta);
+  std::int64_t incr(std::string_view key, std::int64_t delta);
   /// Removes a key; returns whether it existed.
-  bool erase(const std::string& key);
+  bool erase(std::string_view key);
 
   [[nodiscard]] std::size_t size() const;
 
@@ -54,20 +59,20 @@ class KvStore {
     std::uint64_t version = 0;
   };
   [[nodiscard]] std::optional<Versioned> get_versioned(
-      const std::string& key) const;
+      std::string_view key) const;
   /// Compare-and-swap on the key's version. `expected_version == 0` means
   /// "create only if absent". On success stores `value` and returns the new
   /// version; on version mismatch (or create-on-existing) returns nullopt
   /// and leaves the entry untouched.
-  std::optional<std::uint64_t> put_if(const std::string& key,
-                                      std::string value,
+  std::optional<std::uint64_t> put_if(std::string_view key,
+                                      std::string_view value,
                                       std::uint64_t expected_version);
 
   /// All keys starting with `prefix`, sorted by key for deterministic
   /// replay. Snapshot semantics per shard (not cross-shard atomic), which
   /// is fine for the cluster WAL: replay only runs on quiesced shards.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> scan_prefix(
-      const std::string& prefix) const;
+      std::string_view prefix) const;
 
   // --- TTL leases (cluster worker liveness) ---
   //
@@ -118,16 +123,66 @@ class KvStore {
   }
 
  private:
-  struct Entry {
-    std::string value;
-    std::uint64_t version = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
+  /// One shard's keys: open addressing with linear probing and
+  /// backward-shift erase (no tombstones). `tags_` caches 31 bits of each
+  /// key's hash (low bit forced on, so 0 marks an empty slot) in a dense
+  /// array of its own, so a probe walks 4-byte tags and compares a key only
+  /// on a tag match; the key itself sits inline in its slot (short keys in
+  /// the string's own buffer), so a hit costs one slot access instead of
+  /// the bucket -> node chain of std::unordered_map. Not synchronized: the
+  /// owning Shard's mutex guards it.
+  class Table {
+   public:
+    struct Slot {
+      std::string key;
+      std::string value;
+      std::uint64_t version = 0;
+    };
+
+    Table();
+    /// `key`'s slot, or nullptr.
+    [[nodiscard]] Slot* find(std::uint32_t tag, std::string_view key);
+    [[nodiscard]] const Slot* find(std::uint32_t tag,
+                                   std::string_view key) const;
+    /// `key`'s slot, inserted empty (version 0) if absent.
+    Slot& find_or_insert(std::uint32_t tag, std::string_view key);
+    /// Removes `key`; returns whether it was present.
+    bool erase(std::uint32_t tag, std::string_view key);
+    /// Calls `visit(slot)` for every occupied slot, in table order.
+    template <typename Visit>
+    void for_each(Visit&& visit) const {
+      for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (tags_[i] != 0) visit(slots_[i]);
+      }
+    }
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    [[nodiscard]] std::size_t home_of(std::uint32_t tag) const;
+    /// Index of `key`'s slot, or npos.
+    [[nodiscard]] std::size_t index_of(std::uint32_t tag,
+                                       std::string_view key) const;
+    void rehash(std::size_t capacity);
+
+    std::vector<std::uint32_t> tags_;
+    std::vector<Slot> slots_;
+    unsigned shift_ = 0;  ///< 64 - log2(capacity)
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
   };
 
-  [[nodiscard]] Shard& shard_for(const std::string& key) const;
+  struct Shard {
+    mutable std::mutex mutex;
+    Table table;
+  };
+  /// A key's shard and its table tag, both from one hash of the key.
+  struct Hashed {
+    Shard& shard;
+    std::uint32_t tag;
+  };
+
+  [[nodiscard]] Hashed locate(std::string_view key) const;
   /// Sleeps for a sampled latency and records it; no-op when injection is
   /// disabled.
   void simulate_network() const;

@@ -6,7 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "calls/call_config.h"
@@ -16,6 +23,7 @@
 #include "cluster/shard_map.h"
 #include "cluster/wal.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/controller.h"
 #include "fault/fault_schedule.h"
 #include "sim/allocator.h"
@@ -97,6 +105,93 @@ TEST(WalCodecTest, RoundTripsSnapshotsExactly) {
 
   EXPECT_EQ(cluster::call_from_wal_key(cluster::wal_key(5, CallId(42))),
             CallId(42));
+}
+
+/// The record format as a printf format string: the encoder must produce
+/// exactly these bytes.
+std::string printf_record(const RealtimeSelector::CallSnapshot& snap) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "dc=%" PRIu32 " fj=%" PRIu32 " col=%zu slot=%d sdc=%" PRIu32
+                " cores=%a srv=%" PRIu32,
+                snap.dc.value(), snap.first_joiner.value(), snap.plan_col,
+                snap.holds_slot ? 1 : 0, snap.slot_dc.value(), snap.cores,
+                snap.server.value());
+  return buf;
+}
+
+TEST(WalCodecTest, EncodingIsByteIdenticalToPrintfHexfloat) {
+  std::vector<double> cores = {0.0,
+                               -0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               DBL_MIN,
+                               DBL_MIN / 3.0,
+                               DBL_MAX,
+                               -DBL_MAX,
+                               1.0 / 3.0,
+                               -1.0 / 3.0,
+                               1.0,
+                               0.5,
+                               2.75,
+                               0.30000000000000004,
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  Rng rng(0xa11ce);
+  for (int i = 0; i < 2000; ++i) {
+    cores.push_back(rng.uniform(0.0, 64.0));   // the range cores live in
+    const double raw = std::bit_cast<double>(rng());  // any bit pattern
+    if (raw == raw) cores.push_back(raw);             // NaN payloads aside
+  }
+
+  RealtimeSelector::CallSnapshot invalid;  // every id kInvalid, col npos
+  invalid.cores = 0.0;
+  const std::string invalid_record = cluster::encode_wal_record(invalid);
+  EXPECT_EQ(invalid_record, printf_record(invalid));
+  EXPECT_EQ(invalid_record,
+            "dc=4294967295 fj=4294967295 col=18446744073709551615 slot=0 "
+            "sdc=4294967295 cores=0x0p+0 srv=4294967295");
+
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    RealtimeSelector::CallSnapshot snap;
+    const bool all_invalid = i % 7 == 0;
+    if (!all_invalid) {
+      snap.dc = DcId(static_cast<std::uint32_t>(rng.uniform_index(1u << 31)));
+      snap.first_joiner =
+          LocationId(static_cast<std::uint32_t>(rng.uniform_index(1000)));
+      snap.plan_col = rng.uniform_index(5000);
+      snap.holds_slot = i % 2 == 0;
+      snap.slot_dc = DcId(static_cast<std::uint32_t>(rng.uniform_index(64)));
+      snap.server = ServerId(static_cast<std::uint32_t>(rng()));
+    }
+    snap.cores = cores[i];
+    const std::string record = cluster::encode_wal_record(snap);
+    ASSERT_EQ(record, printf_record(snap)) << "cores bits "
+                                           << std::bit_cast<std::uint64_t>(
+                                                  snap.cores);
+    const RealtimeSelector::CallSnapshot back =
+        cluster::decode_wal_record(record);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.cores),
+              std::bit_cast<std::uint64_t>(snap.cores));
+    EXPECT_EQ(back.dc, snap.dc);
+    EXPECT_EQ(back.first_joiner, snap.first_joiner);
+    EXPECT_EQ(back.plan_col, snap.plan_col);
+    EXPECT_EQ(back.holds_slot, snap.holds_slot);
+    EXPECT_EQ(back.slot_dc, snap.slot_dc);
+    EXPECT_EQ(back.server, snap.server);
+  }
+
+  for (const std::size_t shard : {std::size_t{0}, std::size_t{7},
+                                  std::size_t{63}, std::size_t{4096}}) {
+    std::string prefix = "wal:";
+    prefix += std::to_string(shard);
+    prefix += ':';
+    EXPECT_EQ(cluster::wal_shard_prefix(shard), prefix);
+    for (const std::uint32_t call : {0u, 9u, 300000u, 4294967294u}) {
+      EXPECT_EQ(cluster::wal_key(shard, CallId(call)),
+                prefix + std::to_string(call));
+    }
+  }
 }
 
 /// Two locations, two DCs, everything latency-feasible (mirrors the
@@ -415,6 +510,108 @@ TEST_F(ClusterFacadeTest, EpochMirrorsKvStoreUnderCas) {
   KvStore seeded({.shard_count = 4, .inject_latency = false});
   EXPECT_TRUE(seeded.put_if("cluster:epoch", "7", 0).has_value());
   EXPECT_FALSE(seeded.put_if("cluster:epoch", "8", 0).has_value());
+}
+
+TEST_F(ClusterFacadeTest, LeaseSequenceIsPinnedOnAFixedSchedule) {
+  // A seeded schedule of 20k events with 21 worker kills, 20 restarts, gaps
+  // longer than the TTL (so a dead worker's lease lapses before anything
+  // touches its shards: a TTL takeover) and backwards time jitter. Every
+  // lease grant, renewal and expiry, every takeover, the final epoch, each
+  // lease row's version and expiry, and the bytes of the WAL at each kill
+  // are pinned: the coordinator's lease bookkeeping may get cheaper, never
+  // different.
+  constexpr std::size_t kWorkers = 3;
+  constexpr double kTtl = 50.0;
+  Switchboard sb(world_.ctx(), small_controller_options(kWorkers));
+  ClusterController cl(sb, {.workers = kWorkers, .lease_ttl_s = kTtl});
+  Rng rng(0x1ea5e);
+  double now = 0.0;
+  std::uint32_t next_call = 1;
+  std::vector<std::pair<CallId, bool>> live;  // (call, frozen)
+  std::vector<WorkerId> dead;                 // kill order
+  std::uint64_t wal_hash = 1469598103934665603ull;  // FNV-1a over records
+  const auto hash_wal = [&]() {
+    for (const auto& [key, value] : cl.store().scan_prefix("wal:")) {
+      for (const char c : key + "=" + value) {
+        wal_hash = (wal_hash ^ static_cast<unsigned char>(c)) *
+                   1099511628211ull;
+      }
+    }
+  };
+  std::size_t kills = 0;
+  for (int i = 1; i <= 20000; ++i) {
+    if (i % 1000 == 0) {
+      now += kTtl + rng.uniform(10.0, 150.0);  // idle gap past the TTL
+    } else if (i % 97 == 0) {
+      now -= rng.uniform(0.0, 5.0);  // backwards jitter
+    } else {
+      now += rng.uniform(0.0, 2.0);
+    }
+    if (i % 950 == 0 && kills < 21) {
+      hash_wal();
+      const WorkerId victim(
+          static_cast<std::uint32_t>(rng.uniform_index(kWorkers)));
+      if (std::find(dead.begin(), dead.end(), victim) == dead.end()) {
+        cl.worker_failed(victim, now);
+        dead.push_back(victim);
+        ++kills;
+      }
+    }
+    if (i % 950 == 475 && !dead.empty() && kills - dead.size() < 20) {
+      cl.worker_restarted(dead.front(), now);
+      dead.erase(dead.begin());
+    }
+    if (live.size() < 30 || rng.uniform() < 0.35) {
+      const CallId c(next_call++);
+      cl.call_started(c, LocationId(c.value() % 2), now);
+      live.emplace_back(c, false);
+      continue;
+    }
+    const std::size_t pick = rng.uniform_index(live.size());
+    auto& [call, frozen] = live[pick];
+    if (!frozen) {
+      cl.config_frozen(call, config_, now);
+      frozen = true;
+    } else {
+      cl.call_ended(call, now);
+      live[pick] = live.back();
+      live.pop_back();
+    }
+  }
+  for (const auto& [call, frozen] : live) cl.call_ended(call, now + 1.0);
+  hash_wal();
+
+  EXPECT_EQ(sb.active_calls(), 0u);
+  EXPECT_EQ(cl.wal_size(), 0u);
+  const RealtimeSelector::Stats rs = sb.realtime_stats();
+  EXPECT_EQ(rs.slot_debits, rs.slot_credits);
+
+  const ClusterStats st = cl.stats();
+  EXPECT_EQ(st.worker_kills, 21u);
+  EXPECT_EQ(st.worker_restarts, 20u);
+  EXPECT_EQ(st.lease_acquires, 72u);
+  EXPECT_EQ(st.lease_renewals, 1859u);
+  EXPECT_EQ(st.lease_expiries, 21u);
+  EXPECT_EQ(st.takeovers_expedited, 12u);
+  EXPECT_EQ(st.takeovers_ttl, 1u);
+  EXPECT_EQ(st.replayed_records, 3372u);
+  EXPECT_EQ(st.degraded_applies, 0u);
+  EXPECT_EQ(st.wal_writes, 20838u);
+  EXPECT_EQ(cl.epoch(), 14u);
+  EXPECT_EQ(wal_hash, 16408246120746156618ull);
+  // (version, expires_at) per worker's lease row; version 0 = no row (a
+  // dead worker's lapsed lease was swept).
+  const std::vector<std::pair<std::uint64_t, double>> want_leases = {
+      {0, 0.0}, {20, 0x1.54943a57b1ecap+14}, {57, 0x1.54943a57b1ecap+14}};
+  for (std::uint32_t w = 0; w < kWorkers; ++w) {
+    std::string key = "lease:w";
+    key += std::to_string(w);
+    const auto lease = cl.store().lease(key);
+    const std::pair<std::uint64_t, double> got =
+        lease ? std::make_pair(lease->version, lease->expires_at)
+              : std::make_pair(std::uint64_t{0}, 0.0);
+    EXPECT_EQ(got, want_leases[w]) << key;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-// Tests for the KV store substrate: semantics, concurrency, and latency
-// injection bounds.
+// Tests for the KV store substrate: semantics, concurrency, latency
+// injection bounds, and a seeded differential of the flat shard table
+// against a std::map reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "kvstore/kvstore.h"
 
 namespace sb {
@@ -16,6 +22,16 @@ KvStoreOptions fast_options() {
   KvStoreOptions options;
   options.inject_latency = false;
   return options;
+}
+
+/// "k<t>:<i>", built by appending: gcc 12 at -O3 misreports
+/// `"k" + std::to_string(t)` as an overlapping copy (GCC bug 105651).
+std::string thread_key(std::size_t t, std::size_t i) {
+  std::string key = "k";
+  key += std::to_string(t);
+  key += ':';
+  key += std::to_string(i);
+  return key;
 }
 
 TEST(KvStoreTest, SetGetEraseSemantics) {
@@ -55,11 +71,10 @@ TEST(KvStoreTest, ConcurrentIncrementsAreAtomic) {
 TEST(KvStoreTest, ConcurrentDisjointWrites) {
   KvStore store(fast_options());
   std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
+  for (std::size_t t = 0; t < 6; ++t) {
     threads.emplace_back([&store, t] {
-      for (int i = 0; i < 200; ++i) {
-        store.set("k" + std::to_string(t) + ":" + std::to_string(i),
-                  std::to_string(i));
+      for (std::size_t i = 0; i < 200; ++i) {
+        store.set(thread_key(t, i), std::to_string(i));
       }
     });
   }
@@ -164,6 +179,139 @@ TEST(KvStoreTest, ScanPrefixIsSortedAndScoped) {
   EXPECT_TRUE(store.scan_prefix("wal:7:").empty());
 }
 
+// Seeded differential of the flat shard table against a std::map: random
+// set / erase / put_if / incr / get_versioned / scan_prefix over keys that
+// share long prefixes. Fill phases climb the live set through several table
+// growths; drain phases erase runs of consecutive keys (long backward-shift
+// chains) until the table is nearly empty. After every operation the
+// store's contents, versions, size() and full-scan order must equal the
+// reference. One shard puts every key in one table; five spread them.
+TEST(KvStoreTest, FlatTableMatchesMapReference) {
+  struct Ref {
+    std::string value;
+    std::uint64_t version = 0;
+  };
+  constexpr std::uint64_t kUniverse = 512;
+  constexpr std::uint64_t kCounters = 16;  // the last ids are incr-only keys
+  constexpr int kSteps = 4800;
+  constexpr int kPhaseSteps = 1200;
+  const auto key_of = [](std::uint64_t n) {
+    std::string key = "wal:";
+    key += std::to_string(n % 3);
+    key += ':';
+    key += std::to_string(n);
+    return key;
+  };
+  const std::vector<std::string> prefixes = {"", "wal:", "wal:1:", "wal:2:1",
+                                             "wal:0:3", "lease:"};
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    KvStoreOptions options = fast_options();
+    options.shard_count = shards;
+    KvStore store(options);
+    std::map<std::string, Ref> ref;
+    Rng rng(0x7ab1e0 + shards);
+    std::size_t peak = 0;
+    std::size_t drained_to = kUniverse;
+    bool draining = false;
+
+    const auto check_all = [&]() {
+      ASSERT_EQ(store.size(), ref.size());
+      const auto rows = store.scan_prefix("");
+      ASSERT_EQ(rows.size(), ref.size());
+      std::size_t i = 0;
+      for (const auto& [key, r] : ref) {
+        ASSERT_EQ(rows[i].first, key);
+        ASSERT_EQ(rows[i].second, r.value);
+        const auto got = store.get_versioned(key);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(got->version, r.version) << key;
+        ++i;
+      }
+      peak = std::max(peak, ref.size());
+      if (draining) drained_to = std::min(drained_to, ref.size());
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+      draining = (step / kPhaseSteps) % 2 == 1;
+      const std::uint64_t n = rng.uniform_index(kUniverse);
+      const std::string key = key_of(n);
+      const double u = rng.uniform();
+      if (n >= kUniverse - kCounters) {
+        // Counter keys: only incr and erase touch them, so values parse.
+        if (u < 0.7) {
+          const auto delta = rng.uniform_int(-50, 50);
+          Ref& r = ref[key];
+          const std::int64_t want =
+              (r.value.empty() ? 0 : std::stoll(r.value)) + delta;
+          r.value = std::to_string(want);
+          ++r.version;
+          ASSERT_EQ(store.incr(key, delta), want);
+        } else {
+          ASSERT_EQ(store.erase(key), ref.erase(key) == 1);
+        }
+      } else if (draining ? u < 0.8 : u < 0.1) {
+        // A run of erases over consecutive ids (present or not).
+        const std::uint64_t run = 1 + rng.uniform_index(draining ? 40 : 4);
+        for (std::uint64_t k = n; k < std::min(n + run, kUniverse); ++k) {
+          const std::string victim = key_of(k);
+          ASSERT_EQ(store.erase(victim), ref.erase(victim) == 1);
+          ASSERT_NO_FATAL_FAILURE(check_all());
+        }
+      } else if (u < 0.55) {
+        // Values from empty to well past the inline-string size, so
+        // in-place overwrites both grow and shrink.
+        std::string value(rng.uniform_index(120), static_cast<char>(
+                                                      'a' + step % 26));
+        value += std::to_string(step);
+        store.set(key, value);
+        Ref& r = ref[key];
+        r.value = value;
+        ++r.version;
+      } else if (u < 0.8) {
+        const auto it = ref.find(key);
+        const std::uint64_t current = it == ref.end() ? 0 : it->second.version;
+        // Half right, half stale (or create-only on a present key).
+        const std::uint64_t expected =
+            rng.uniform() < 0.5 ? current : (current == 0 ? 1 : current - 1);
+        const std::string value = "cas" + std::to_string(step);
+        const auto got = store.put_if(key, value, expected);
+        if (expected == current) {
+          Ref& r = ref[key];
+          r.value = value;
+          ++r.version;
+          ASSERT_TRUE(got.has_value());
+          ASSERT_EQ(*got, r.version);
+        } else {
+          ASSERT_FALSE(got.has_value());
+        }
+      } else if (u < 0.9) {
+        const auto got = store.get_versioned(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got.has_value(), it != ref.end());
+        if (got) {
+          ASSERT_EQ(got->value, it->second.value);
+          ASSERT_EQ(got->version, it->second.version);
+        }
+        ASSERT_EQ(store.get(key).has_value(), it != ref.end());
+      } else {
+        const std::string& prefix =
+            prefixes[rng.uniform_index(prefixes.size())];
+        std::vector<std::pair<std::string, std::string>> want;
+        for (const auto& [k, r] : ref) {
+          if (k.starts_with(prefix)) want.emplace_back(k, r.value);
+        }
+        ASSERT_EQ(store.scan_prefix(prefix), want) << prefix;
+      }
+      ASSERT_NO_FATAL_FAILURE(check_all());
+    }
+    // The schedule really grew the table several times and drained it.
+    EXPECT_GT(peak, kUniverse / 2);
+    EXPECT_LT(drained_to, kUniverse / 10);
+  }
+}
+
 TEST(KvStoreTest, LeaseLifecycle) {
   KvStore store(fast_options());
   // Grant, then a competing owner is refused until expiry.
@@ -229,8 +377,7 @@ TEST(KvStoreTest, MixedStressConservesOpStatsHistogram) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&store, t] {
       for (std::size_t i = 0; i < kOpsPerThread; ++i) {
-        const std::string key =
-            "k" + std::to_string(t) + ":" + std::to_string(i % 8);
+        const std::string key = thread_key(t, i % 8);
         switch (i % 4) {
           case 0:
             store.set(key, std::to_string(i));
